@@ -26,9 +26,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "gc/Heap.h"
-#include "gc/HeapAuditor.h"
 #include "support/JsonWriter.h"
+#include "workload/Storm.h"
 
 #include <algorithm>
 #include <chrono>
@@ -44,7 +43,6 @@ namespace {
 
 constexpr unsigned WorkerCounts[] = {1, 2, 4, 8};
 constexpr unsigned NumWorkerCounts = 4;
-constexpr unsigned PauseWorkers = 4; // The SLO's "4 lanes" configuration.
 
 double msSince(std::chrono::steady_clock::time_point Start) {
   return std::chrono::duration<double, std::milli>(
@@ -53,187 +51,8 @@ double msSince(std::chrono::steady_clock::time_point Start) {
 }
 
 //===----------------------------------------------------------------------===//
-// Determinism legs: the IncrementalMarkTest storm, gate-sized
-//===----------------------------------------------------------------------===//
-
-HeapConfig legConfig(unsigned GcThreads, bool Incremental,
-                     unsigned MarkBudget) {
-  HeapConfig Config;
-  Config.Collector = CollectorKind::StickyImmix;
-  Config.BudgetPages = (32 * MiB) / PcmPageSize;
-  Config.GcThreads = GcThreads;
-  Config.Failures.Rate = 0.02;
-  Config.Failures.Seed = 7;
-  Config.DefragFreeFraction = 0.35;
-  Config.IncrementalMark = Incremental;
-  Config.MarkBudget = MarkBudget;
-  return Config;
-}
-
-/// Rooted linked lists; every fourth node carries a satellite object
-/// reachable only through that node's cross-link slot. Payloads are
-/// seed-stamped so the payload-hashing digest covers them.
-std::vector<unsigned> buildLists(Heap &Hp, unsigned NumLists,
-                                 unsigned ListLen, uint64_t Seed) {
-  std::vector<unsigned> Heads;
-  for (unsigned L = 0; L != NumLists; ++L) {
-    unsigned HeadRoot = Hp.createRoot(nullptr);
-    for (unsigned I = 0; I != ListLen; ++I) {
-      ObjRef Node = Hp.allocate(/*PayloadBytes=*/48, /*NumRefs=*/2);
-      if (!Node)
-        break;
-      *reinterpret_cast<uint64_t *>(objectPayload(Node)) =
-          Seed ^ ((uint64_t(L) << 32) | I);
-      if (I % 4 == 0) {
-        ObjRef Sat = Hp.allocate(/*PayloadBytes=*/32, /*NumRefs=*/0);
-        if (Sat) {
-          *reinterpret_cast<uint64_t *>(objectPayload(Sat)) =
-              Seed ^ (0x5A7ull << 32 | (uint64_t(L) << 16) | I);
-          Hp.writeRef(Node, 1, Sat);
-        }
-      }
-      if (ObjRef Head = Hp.root(HeadRoot))
-        Hp.writeRef(Node, 0, Head);
-      Hp.setRoot(HeadRoot, Node);
-    }
-    Heads.push_back(HeadRoot);
-  }
-  return Heads;
-}
-
-ObjRef walk(ObjRef Node, unsigned Steps) {
-  for (unsigned I = 0; I != Steps && Node; ++I) {
-    ObjRef Next = Heap::readRef(Node, 0);
-    if (!Next)
-      break;
-    Node = Next;
-  }
-  return Node;
-}
-
-/// One deterministic reference store: swap two nodes' cross links, or
-/// rewrite a head root with its own value. Swaps permute the satellites
-/// without dropping any, so the live set (and the physical heap the
-/// digest hashes) evolves identically under incremental and
-/// stop-the-world marking - while still opening the classic SATB window
-/// where a satellite survives only in the deletion log.
-void mutationOp(Heap &Hp, const std::vector<unsigned> &Heads,
-                uint64_t I) {
-  uint64_t H = (I + 1) * 0x9E3779B97F4A7C15ull;
-  unsigned L1 = static_cast<unsigned>((H >> 8) % Heads.size());
-  unsigned L2 = static_cast<unsigned>((H >> 24) % Heads.size());
-  if ((H & 7) == 0) {
-    Hp.setRoot(Heads[L1], Hp.root(Heads[L1]));
-    return;
-  }
-  ObjRef A =
-      walk(Hp.root(Heads[L1]), static_cast<unsigned>((H >> 40) % 37));
-  ObjRef B =
-      walk(Hp.root(Heads[L2]), static_cast<unsigned>((H >> 48) % 37));
-  if (!A || !B || A == B)
-    return;
-  ObjRef Ta = Heap::readRef(A, 1);
-  ObjRef Tb = Heap::readRef(B, 1);
-  Hp.writeRef(A, 1, Tb);
-  Hp.writeRef(B, 1, Ta);
-}
-
-struct LegResult {
-  bool AuditPassed = false;
-  uint64_t Digest = 0;
-  uint64_t GcCount = 0;
-  uint64_t FullGcCount = 0;
-  uint64_t ObjectsAllocated = 0;
-  uint64_t BytesAllocated = 0;
-  uint64_t ObjectsMarked = 0;
-  uint64_t BytesTraced = 0;
-  uint64_t ObjectsEvacuated = 0;
-  uint64_t FailedLinesDynamic = 0;
-  uint64_t MarkIncrements = 0;
-  uint64_t SatbLogged = 0;
-  uint64_t SatbDrained = 0;
-};
-
-/// One equivalence leg: build, write storm (one budgeted step per batch
-/// on the incremental side, a pinned-line failure landing mid-cycle),
-/// the cycle's full collection at a fixed point in the mutation history,
-/// and a settling collection. Digest hashes payload bytes too.
-LegResult runLeg(bool Incremental, unsigned GcThreads,
-                 unsigned MarkBudget, uint64_t Seed, double Scale) {
-  Heap Hp(legConfig(GcThreads, Incremental, MarkBudget));
-  unsigned ListLen = static_cast<unsigned>(2500 * Scale);
-  std::vector<unsigned> Heads = buildLists(Hp, 4, ListLen, Seed);
-  ObjRef Pinned = Hp.allocate(64, 0, /*Pinned=*/true);
-  Hp.createRoot(Pinned);
-
-  const unsigned StormBatches = 40;
-  const unsigned OpsPerBatch = 50;
-  if (Incremental)
-    Hp.beginIncrementalMarkCycle();
-  for (unsigned Batch = 0; Batch != StormBatches; ++Batch) {
-    for (unsigned I = 0; I != OpsPerBatch; ++I)
-      mutationOp(Hp, Heads, uint64_t(Batch) * OpsPerBatch + I);
-    if (Batch == StormBatches / 2 && Incremental && Pinned)
-      // Mid-cycle failure: parked for the whole cycle, drained at the
-      // close - the stop-the-world leg injects at that drain point.
-      Hp.injectDynamicFailureBatch({Pinned});
-    if (Incremental)
-      Hp.incrementalMarkStep();
-  }
-  if (Incremental) {
-    Hp.finishIncrementalMarkCycle();
-  } else {
-    Hp.collect(CollectionKind::Full);
-    if (Pinned)
-      Hp.injectDynamicFailureBatch({Pinned});
-  }
-  Hp.collect(CollectionKind::Full); // Settle.
-
-  HeapAuditor Auditor(Hp);
-  LegResult R;
-  R.AuditPassed = Auditor.audit().passed();
-  R.Digest = Auditor.digest(/*HashPayload=*/true);
-  const HeapStats &S = Hp.stats();
-  R.GcCount = S.GcCount;
-  R.FullGcCount = S.FullGcCount;
-  R.ObjectsAllocated = S.ObjectsAllocated;
-  R.BytesAllocated = S.BytesAllocated;
-  R.ObjectsMarked = S.ObjectsMarked;
-  R.BytesTraced = S.BytesTraced;
-  R.ObjectsEvacuated = S.ObjectsEvacuated;
-  R.FailedLinesDynamic = S.FailedLinesDynamic;
-  R.MarkIncrements = S.MarkIncrements;
-  R.SatbLogged = S.SatbLogged;
-  R.SatbDrained = S.SatbDrained;
-  return R;
-}
-
-bool sameDeterministic(const LegResult &A, const LegResult &B) {
-  return A.Digest == B.Digest && A.GcCount == B.GcCount &&
-         A.FullGcCount == B.FullGcCount &&
-         A.ObjectsAllocated == B.ObjectsAllocated &&
-         A.BytesAllocated == B.BytesAllocated &&
-         A.ObjectsMarked == B.ObjectsMarked &&
-         A.BytesTraced == B.BytesTraced &&
-         A.ObjectsEvacuated == B.ObjectsEvacuated &&
-         A.FailedLinesDynamic == B.FailedLinesDynamic;
-}
-
-//===----------------------------------------------------------------------===//
 // Pause legs: identical heaps, stop-the-world vs incremental pauses
 //===----------------------------------------------------------------------===//
-
-/// A clean (no-failure) config so the pause comparison measures marking
-/// and its sweep tail, not failure recovery.
-HeapConfig pauseConfig(bool Incremental, unsigned MarkBudget) {
-  HeapConfig Config;
-  Config.Collector = CollectorKind::StickyImmix;
-  Config.BudgetPages = (48 * MiB) / PcmPageSize;
-  Config.GcThreads = PauseWorkers;
-  Config.IncrementalMark = Incremental;
-  Config.MarkBudget = MarkBudget;
-  return Config;
-}
 
 struct PausePair {
   double StwMs = 0.0;    ///< The full stop-the-world collection pause.
@@ -250,14 +69,14 @@ PausePair measurePausePair(uint64_t Seed, double Scale,
   PausePair P;
   unsigned ListLen = static_cast<unsigned>(12000 * Scale);
   {
-    Heap Hp(pauseConfig(/*Incremental=*/false, MarkBudget));
+    Heap Hp(stormPauseConfig(MarkPacing::StopTheWorld, MarkBudget));
     buildLists(Hp, 4, ListLen, Seed);
     auto T0 = std::chrono::steady_clock::now();
     Hp.collect(CollectionKind::Full);
     P.StwMs = msSince(T0);
   }
   {
-    Heap Hp(pauseConfig(/*Incremental=*/true, MarkBudget));
+    Heap Hp(stormPauseConfig(MarkPacing::Incremental, MarkBudget));
     buildLists(Hp, 4, ListLen, Seed);
     auto T0 = std::chrono::steady_clock::now();
     Hp.beginIncrementalMarkCycle();
@@ -314,21 +133,22 @@ int main(int argc, char **argv) {
   // every worker count. The increments and SATB totals must also agree
   // *between* incremental legs (the step schedule is fixed, so they are
   // pure functions of the mutation history).
-  LegResult Stw =
-      runLeg(/*Incremental=*/false, 1, MarkBudget, Seed, Scale);
+  StormResult Stw = runStormLeg(MarkPacing::StopTheWorld, 1, MarkBudget,
+                                Seed, Scale, /*MidCycleFailure=*/true);
   bool Identical = Stw.AuditPassed;
   if (!Stw.AuditPassed)
     std::printf("AUDIT FAILED: stop-the-world leg\n");
-  LegResult IncFirst;
+  StormResult IncFirst;
   for (unsigned C = 0; C != NumWorkerCounts; ++C) {
-    LegResult Inc = runLeg(/*Incremental=*/true, WorkerCounts[C],
-                           MarkBudget, Seed, Scale);
+    StormResult Inc = runStormLeg(MarkPacing::Incremental, WorkerCounts[C],
+                                  MarkBudget, Seed, Scale,
+                                  /*MidCycleFailure=*/true);
     if (!Inc.AuditPassed) {
       Identical = false;
       std::printf("AUDIT FAILED: incremental leg, %u workers\n",
                   WorkerCounts[C]);
     }
-    if (!sameDeterministic(Inc, Stw)) {
+    if (!stormMismatch(Inc, Stw).empty()) {
       Identical = false;
       std::printf("MISMATCH: incremental(%u workers) digest "
                   "0x%016llx vs stop-the-world 0x%016llx\n",
@@ -385,7 +205,7 @@ int main(int argc, char **argv) {
   std::printf("pauses at %u workers: stop-the-world best %.3f ms, max "
               "incremental best %.3f ms over %u steps, median paired "
               "ratio %.1f%% (gate %s: need <= 20%%)\n",
-              PauseWorkers, BestStw, BestInc, Steps, Ratio * 100.0,
+              StormPauseWorkers, BestStw, BestInc, Steps, Ratio * 100.0,
               NoTimingGate ? "disarmed by flag" : "armed");
 
   FILE *Out = std::fopen(OutPath.c_str(), "w");

@@ -43,10 +43,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "gc/Heap.h"
 #include "gc/HeapAuditor.h"
 #include "support/JsonWriter.h"
 #include "workload/MutatorPool.h"
+#include "workload/Storm.h"
 
 #include <algorithm>
 #include <chrono>
@@ -60,15 +60,13 @@ using namespace wearmem;
 
 namespace {
 
-enum class Mode { Stw, Interleaved, Concurrent };
-
-const char *modeName(Mode M) {
-  switch (M) {
-  case Mode::Stw:
+const char *pacingName(MarkPacing P) {
+  switch (P) {
+  case MarkPacing::StopTheWorld:
     return "stop-the-world";
-  case Mode::Interleaved:
+  case MarkPacing::Incremental:
     return "interleaved";
-  case Mode::Concurrent:
+  case MarkPacing::Concurrent:
     return "concurrent";
   }
   return "?";
@@ -78,179 +76,11 @@ constexpr unsigned WorkerCounts[] = {1, 2, 4, 8};
 constexpr unsigned NumWorkerCounts = 4;
 constexpr unsigned MutatorThreadCounts[] = {1, 2, 4};
 constexpr unsigned NumMutatorThreadCounts = 3;
-constexpr unsigned PauseWorkers = 4; // The SLOs' "4 lanes" configuration.
 
 double msSince(std::chrono::steady_clock::time_point Start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - Start)
       .count();
-}
-
-//===----------------------------------------------------------------------===//
-// Heap-level determinism legs: the perf04 storm, three pacings
-//===----------------------------------------------------------------------===//
-
-HeapConfig legConfig(Mode M, unsigned GcThreads, unsigned MarkBudget) {
-  HeapConfig Config;
-  Config.Collector = CollectorKind::StickyImmix;
-  Config.BudgetPages = (32 * MiB) / PcmPageSize;
-  Config.GcThreads = GcThreads;
-  Config.Failures.Rate = 0.02;
-  Config.Failures.Seed = 7;
-  Config.DefragFreeFraction = 0.35;
-  Config.IncrementalMark = M == Mode::Interleaved;
-  Config.ConcurrentMark = M == Mode::Concurrent;
-  Config.MarkBudget = MarkBudget;
-  return Config;
-}
-
-/// Rooted linked lists; every fourth node carries a satellite object
-/// reachable only through that node's cross-link slot. Payloads are
-/// seed-stamped so the payload-hashing digest covers them.
-std::vector<unsigned> buildLists(Heap &Hp, unsigned NumLists,
-                                 unsigned ListLen, uint64_t Seed) {
-  std::vector<unsigned> Heads;
-  for (unsigned L = 0; L != NumLists; ++L) {
-    unsigned HeadRoot = Hp.createRoot(nullptr);
-    for (unsigned I = 0; I != ListLen; ++I) {
-      ObjRef Node = Hp.allocate(/*PayloadBytes=*/48, /*NumRefs=*/2);
-      if (!Node)
-        break;
-      *reinterpret_cast<uint64_t *>(objectPayload(Node)) =
-          Seed ^ ((uint64_t(L) << 32) | I);
-      if (I % 4 == 0) {
-        ObjRef Sat = Hp.allocate(/*PayloadBytes=*/32, /*NumRefs=*/0);
-        if (Sat) {
-          *reinterpret_cast<uint64_t *>(objectPayload(Sat)) =
-              Seed ^ (0x5A7ull << 32 | (uint64_t(L) << 16) | I);
-          Hp.writeRef(Node, 1, Sat);
-        }
-      }
-      if (ObjRef Head = Hp.root(HeadRoot))
-        Hp.writeRef(Node, 0, Head);
-      Hp.setRoot(HeadRoot, Node);
-    }
-    Heads.push_back(HeadRoot);
-  }
-  return Heads;
-}
-
-ObjRef walk(ObjRef Node, unsigned Steps) {
-  for (unsigned I = 0; I != Steps && Node; ++I) {
-    ObjRef Next = Heap::readRef(Node, 0);
-    if (!Next)
-      break;
-    Node = Next;
-  }
-  return Node;
-}
-
-/// One deterministic reference store: swap two nodes' cross links, or
-/// rewrite a head root with its own value. Swaps permute the satellites
-/// without dropping any, so the live set evolves identically under every
-/// marking pacing - while still opening the classic SATB window where a
-/// satellite survives only in the deletion log, which here the racing
-/// marker thread must be protected from.
-void mutationOp(Heap &Hp, const std::vector<unsigned> &Heads,
-                uint64_t I) {
-  uint64_t H = (I + 1) * 0x9E3779B97F4A7C15ull;
-  unsigned L1 = static_cast<unsigned>((H >> 8) % Heads.size());
-  unsigned L2 = static_cast<unsigned>((H >> 24) % Heads.size());
-  if ((H & 7) == 0) {
-    Hp.setRoot(Heads[L1], Hp.root(Heads[L1]));
-    return;
-  }
-  ObjRef A =
-      walk(Hp.root(Heads[L1]), static_cast<unsigned>((H >> 40) % 37));
-  ObjRef B =
-      walk(Hp.root(Heads[L2]), static_cast<unsigned>((H >> 48) % 37));
-  if (!A || !B || A == B)
-    return;
-  ObjRef Ta = Heap::readRef(A, 1);
-  ObjRef Tb = Heap::readRef(B, 1);
-  Hp.writeRef(A, 1, Tb);
-  Hp.writeRef(B, 1, Ta);
-}
-
-struct LegResult {
-  bool AuditPassed = false;
-  uint64_t Digest = 0;
-  uint64_t GcCount = 0;
-  uint64_t FullGcCount = 0;
-  uint64_t ObjectsAllocated = 0;
-  uint64_t BytesAllocated = 0;
-  uint64_t ObjectsMarked = 0;
-  uint64_t BytesTraced = 0;
-  uint64_t ObjectsEvacuated = 0;
-  uint64_t FailedLinesDynamic = 0;
-  uint64_t SatbLogged = 0;
-  uint64_t SatbDrained = 0;
-};
-
-/// One equivalence leg: build, write storm (one pacing point per batch:
-/// a budgeted step interleaved, a flush handshake concurrent; a
-/// pinned-line failure landing mid-cycle), the cycle's full collection
-/// at a fixed point in the mutation history, a settling collection.
-LegResult runLeg(Mode M, unsigned GcThreads, unsigned MarkBudget,
-                 uint64_t Seed, double Scale) {
-  Heap Hp(legConfig(M, GcThreads, MarkBudget));
-  unsigned ListLen = static_cast<unsigned>(2500 * Scale);
-  std::vector<unsigned> Heads = buildLists(Hp, 4, ListLen, Seed);
-  ObjRef Pinned = Hp.allocate(64, 0, /*Pinned=*/true);
-  Hp.createRoot(Pinned);
-
-  const unsigned StormBatches = 40;
-  const unsigned OpsPerBatch = 50;
-  if (M != Mode::Stw)
-    Hp.beginIncrementalMarkCycle();
-  for (unsigned Batch = 0; Batch != StormBatches; ++Batch) {
-    for (unsigned I = 0; I != OpsPerBatch; ++I)
-      mutationOp(Hp, Heads, uint64_t(Batch) * OpsPerBatch + I);
-    if (Batch == StormBatches / 2 && M != Mode::Stw && Pinned)
-      // Mid-cycle failure: parked for the whole cycle, drained at the
-      // close - the stop-the-world leg injects at that drain point.
-      Hp.injectDynamicFailureBatch({Pinned});
-    if (M == Mode::Interleaved)
-      Hp.incrementalMarkStep();
-    else if (M == Mode::Concurrent)
-      Hp.satbFlushHandshake();
-  }
-  if (M != Mode::Stw) {
-    Hp.finishIncrementalMarkCycle();
-  } else {
-    Hp.collect(CollectionKind::Full);
-    if (Pinned)
-      Hp.injectDynamicFailureBatch({Pinned});
-  }
-  Hp.collect(CollectionKind::Full); // Settle.
-
-  HeapAuditor Auditor(Hp);
-  LegResult R;
-  R.AuditPassed = Auditor.audit().passed();
-  R.Digest = Auditor.digest(/*HashPayload=*/true);
-  const HeapStats &S = Hp.stats();
-  R.GcCount = S.GcCount;
-  R.FullGcCount = S.FullGcCount;
-  R.ObjectsAllocated = S.ObjectsAllocated;
-  R.BytesAllocated = S.BytesAllocated;
-  R.ObjectsMarked = S.ObjectsMarked;
-  R.BytesTraced = S.BytesTraced;
-  R.ObjectsEvacuated = S.ObjectsEvacuated;
-  R.FailedLinesDynamic = S.FailedLinesDynamic;
-  R.SatbLogged = S.SatbLogged;
-  R.SatbDrained = S.SatbDrained;
-  return R;
-}
-
-bool sameDeterministic(const LegResult &A, const LegResult &B) {
-  return A.Digest == B.Digest && A.GcCount == B.GcCount &&
-         A.FullGcCount == B.FullGcCount &&
-         A.ObjectsAllocated == B.ObjectsAllocated &&
-         A.BytesAllocated == B.BytesAllocated &&
-         A.ObjectsMarked == B.ObjectsMarked &&
-         A.BytesTraced == B.BytesTraced &&
-         A.ObjectsEvacuated == B.ObjectsEvacuated &&
-         A.FailedLinesDynamic == B.FailedLinesDynamic;
 }
 
 //===----------------------------------------------------------------------===//
@@ -274,14 +104,13 @@ struct PoolLeg {
 /// takes a plain full collection at each close point). The heap is
 /// sized so the schedule's own collections keep pressure low and no
 /// allocation-triggered collection lands inside an open window.
-PoolLeg runPoolLeg(Mode M, unsigned Threads, uint64_t Seed) {
+PoolLeg runPoolLeg(MarkPacing M, unsigned Threads, uint64_t Seed) {
   constexpr unsigned Lanes = 4;
   RuntimeConfig Config;
   Config.Collector = CollectorKind::StickyImmix;
   Config.HeapBytes = (8 * MiB) * Lanes;
-  Config.GcThreads = PauseWorkers;
-  Config.IncrementalMark = M == Mode::Interleaved;
-  Config.ConcurrentMark = M == Mode::Concurrent;
+  Config.GcThreads = StormPauseWorkers;
+  Config.Pacing = M;
   Runtime Rt(Config);
 
   MutatorPoolOptions Opts;
@@ -292,18 +121,15 @@ PoolLeg runPoolLeg(Mode M, unsigned Threads, uint64_t Seed) {
   MutatorPool Pool(Rt, *findProfile("luindex"), Opts);
   Pool.setTurnHook([&Rt, M](unsigned, uint64_t Turn) {
     if (Turn % 1024 == 0) {
-      if (M != Mode::Stw && !Rt.incrementalCycleOpen())
+      if (M != MarkPacing::StopTheWorld && !Rt.incrementalCycleOpen())
         Rt.beginIncrementalMarkCycle();
     } else if (Turn % 1024 == 768) {
-      if (M == Mode::Stw)
+      if (M == MarkPacing::StopTheWorld)
         Rt.collect(true);
       else if (Rt.incrementalCycleOpen())
         Rt.finishIncrementalMarkCycle();
     } else if (Turn % 128 == 64 && Rt.incrementalCycleOpen()) {
-      if (M == Mode::Interleaved)
-        Rt.incrementalMarkStep();
-      else
-        Rt.satbFlushHandshake();
+      paceCycle(Rt.heap(), M);
     }
     return true;
   });
@@ -327,19 +153,6 @@ PoolLeg runPoolLeg(Mode M, unsigned Threads, uint64_t Seed) {
 //===----------------------------------------------------------------------===//
 // Timing legs: pause bound and mutator-attributed mark time
 //===----------------------------------------------------------------------===//
-
-/// A clean (no-failure) config so the comparison measures marking, not
-/// failure recovery.
-HeapConfig timingConfig(Mode M, unsigned MarkBudget) {
-  HeapConfig Config;
-  Config.Collector = CollectorKind::StickyImmix;
-  Config.BudgetPages = (48 * MiB) / PcmPageSize;
-  Config.GcThreads = PauseWorkers;
-  Config.IncrementalMark = M == Mode::Interleaved;
-  Config.ConcurrentMark = M == Mode::Concurrent;
-  Config.MarkBudget = MarkBudget;
-  return Config;
-}
 
 struct TimingPair {
   double StwMs = 0.0;        ///< The stop-the-world full-mark pause.
@@ -368,14 +181,14 @@ TimingPair measureTimingPair(uint64_t Seed, double Scale,
   TimingPair P;
   unsigned ListLen = static_cast<unsigned>(12000 * Scale);
   {
-    Heap Hp(timingConfig(Mode::Stw, MarkBudget));
+    Heap Hp(stormPauseConfig(MarkPacing::StopTheWorld, MarkBudget));
     buildLists(Hp, 4, ListLen, Seed);
     auto T0 = std::chrono::steady_clock::now();
     Hp.collect(CollectionKind::Full);
     P.StwMs = msSince(T0);
   }
-  for (Mode M : {Mode::Interleaved, Mode::Concurrent}) {
-    Heap Hp(timingConfig(M, MarkBudget));
+  for (MarkPacing M : {MarkPacing::Incremental, MarkPacing::Concurrent}) {
+    Heap Hp(stormPauseConfig(M, MarkBudget));
     std::vector<unsigned> Heads = buildLists(Hp, 4, ListLen, Seed);
     double MutMs = 0.0, MaxPauseMs = 0.0;
     auto Timed = [&](auto &&Fn) {
@@ -390,12 +203,9 @@ TimingPair measureTimingPair(uint64_t Seed, double Scale,
       for (unsigned I = 0; I != TimingOpsPerBatch; ++I)
         mutationOp(Hp, Heads,
                    uint64_t(Batch) * TimingOpsPerBatch + I);
-      if (M == Mode::Interleaved)
-        Timed([&] { Hp.incrementalMarkStep(); });
-      else
-        Timed([&] { Hp.satbFlushHandshake(); });
+      Timed([&] { paceCycle(Hp, M); });
     }
-    if (M == Mode::Interleaved) {
+    if (M == MarkPacing::Incremental) {
       // The interleaved contract: the mutator drives the trace to
       // convergence in budgeted steps before the close.
       bool More = true;
@@ -403,7 +213,7 @@ TimingPair measureTimingPair(uint64_t Seed, double Scale,
         Timed([&] { More = Hp.incrementalMarkStep(); });
     }
     Timed([&] { Hp.finishIncrementalMarkCycle(); });
-    if (M == Mode::Interleaved) {
+    if (M == MarkPacing::Incremental) {
       P.InterMutMs = MutMs;
     } else {
       P.ConcMutMs = MutMs;
@@ -452,26 +262,27 @@ int main(int argc, char **argv) {
   // marking pacings at every worker count. The SATB ledger must also
   // agree between the marking legs (with identical open/close points it
   // is a pure function of the mutation history).
-  LegResult Stw = runLeg(Mode::Stw, 1, MarkBudget, Seed, Scale);
+  StormResult Stw = runStormLeg(MarkPacing::StopTheWorld, 1, MarkBudget,
+                                Seed, Scale, /*MidCycleFailure=*/true);
   bool Identical = Stw.AuditPassed;
   if (!Stw.AuditPassed)
     std::printf("AUDIT FAILED: stop-the-world leg\n");
-  LegResult MarkingFirst;
+  StormResult MarkingFirst;
   bool HaveMarkingFirst = false;
-  for (Mode M : {Mode::Interleaved, Mode::Concurrent}) {
+  for (MarkPacing M : {MarkPacing::Incremental, MarkPacing::Concurrent}) {
     for (unsigned C = 0; C != NumWorkerCounts; ++C) {
-      LegResult Leg =
-          runLeg(M, WorkerCounts[C], MarkBudget, Seed, Scale);
+      StormResult Leg = runStormLeg(M, WorkerCounts[C], MarkBudget, Seed,
+                                    Scale, /*MidCycleFailure=*/true);
       if (!Leg.AuditPassed) {
         Identical = false;
-        std::printf("AUDIT FAILED: %s leg, %u workers\n", modeName(M),
+        std::printf("AUDIT FAILED: %s leg, %u workers\n", pacingName(M),
                     WorkerCounts[C]);
       }
-      if (!sameDeterministic(Leg, Stw)) {
+      if (!stormMismatch(Leg, Stw).empty()) {
         Identical = false;
         std::printf("MISMATCH: %s(%u workers) digest 0x%016llx vs "
                     "stop-the-world 0x%016llx\n",
-                    modeName(M), WorkerCounts[C],
+                    pacingName(M), WorkerCounts[C],
                     (unsigned long long)Leg.Digest,
                     (unsigned long long)Stw.Digest);
       }
@@ -483,7 +294,7 @@ int main(int argc, char **argv) {
         Identical = false;
         std::printf("MISMATCH: SATB ledger diverges at %s, %u "
                     "workers\n",
-                    modeName(M), WorkerCounts[C]);
+                    pacingName(M), WorkerCounts[C]);
       }
     }
   }
@@ -500,7 +311,8 @@ int main(int argc, char **argv) {
   bool PoolIdentical = true;
   PoolLeg ModeRef[3];
   bool HaveModeRef[3] = {false, false, false};
-  for (Mode M : {Mode::Stw, Mode::Interleaved, Mode::Concurrent}) {
+  for (MarkPacing M : {MarkPacing::StopTheWorld, MarkPacing::Incremental,
+                       MarkPacing::Concurrent}) {
     unsigned MI = static_cast<unsigned>(M);
     for (unsigned C = 0; C != NumMutatorThreadCounts; ++C) {
       PoolLeg Leg = runPoolLeg(M, MutatorThreadCounts[C], Seed);
@@ -508,7 +320,7 @@ int main(int argc, char **argv) {
         PoolIdentical = false;
         std::printf("POOL LEG FAILED: %s, %u threads (run %d, audit "
                     "%d)\n",
-                    modeName(M), MutatorThreadCounts[C], Leg.Ok,
+                    pacingName(M), MutatorThreadCounts[C], Leg.Ok,
                     Leg.AuditPassed);
         continue;
       }
@@ -516,7 +328,7 @@ int main(int argc, char **argv) {
         PoolIdentical = false;
         std::printf("POOL SATB LEAK: %s, %u threads: %llu logged / "
                     "%llu drained\n",
-                    modeName(M), MutatorThreadCounts[C],
+                    pacingName(M), MutatorThreadCounts[C],
                     (unsigned long long)Leg.SatbLogged,
                     (unsigned long long)Leg.SatbDrained);
       }
@@ -530,7 +342,7 @@ int main(int argc, char **argv) {
         PoolIdentical = false;
         std::printf("POOL MISMATCH: %s, %u threads: digest 0x%016llx "
                     "vs 0x%016llx (gc %llu vs %llu)\n",
-                    modeName(M), MutatorThreadCounts[C],
+                    pacingName(M), MutatorThreadCounts[C],
                     (unsigned long long)Leg.Digest,
                     (unsigned long long)ModeRef[MI].Digest,
                     (unsigned long long)Leg.GcCount,
@@ -538,11 +350,12 @@ int main(int argc, char **argv) {
       }
     }
   }
-  const PoolLeg &PoolStw = ModeRef[static_cast<unsigned>(Mode::Stw)];
+  const PoolLeg &PoolStw =
+      ModeRef[static_cast<unsigned>(MarkPacing::StopTheWorld)];
   const PoolLeg &PoolInter =
-      ModeRef[static_cast<unsigned>(Mode::Interleaved)];
+      ModeRef[static_cast<unsigned>(MarkPacing::Incremental)];
   const PoolLeg &PoolConc =
-      ModeRef[static_cast<unsigned>(Mode::Concurrent)];
+      ModeRef[static_cast<unsigned>(MarkPacing::Concurrent)];
   if (PoolInter.Digest != PoolConc.Digest ||
       PoolInter.SatbLogged != PoolConc.SatbLogged) {
     PoolIdentical = false;
@@ -612,7 +425,7 @@ int main(int argc, char **argv) {
   std::printf("pauses at %u workers: stop-the-world best %.3f ms, max "
               "concurrent mutator pause best %.3f ms, best paired "
               "ratio %.1f%% (gate %s: need <= 20%%)\n",
-              PauseWorkers, BestStw, BestConcPause, PauseRatio * 100.0,
+              StormPauseWorkers, BestStw, BestConcPause, PauseRatio * 100.0,
               NoTimingGate ? "disarmed by flag" : "armed");
   std::printf("mutator-attributed mark time: interleaved best %.3f ms, "
               "concurrent best %.3f ms, best paired ratio %.1f%% "

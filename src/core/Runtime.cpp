@@ -27,8 +27,7 @@ HeapConfig RuntimeConfig::toHeapConfig() const {
   Heap.FailureAware = FailureAware;
   Heap.FreeListFailureAware = FreeListFailureAware;
   Heap.GcThreads = GcThreads;
-  Heap.IncrementalMark = IncrementalMark;
-  Heap.ConcurrentMark = ConcurrentMark;
+  Heap.Pacing = Pacing;
   Heap.MarkBudget = MarkBudget;
   Heap.NurseryYieldThreshold = NurseryYieldThreshold;
   Heap.FullGcEvery = FullGcEvery;

@@ -95,20 +95,11 @@ struct RuntimeConfig {
   /// bit-identical under any value (see gc/GcWorkers.h).
   unsigned GcThreads = 1;
 
-  /// Enables incremental SATB marking (Immix collectors only): full mark
-  /// phases may run as fixed-budget increments interleaved with
-  /// mutation, bounding pauses (see gc/Heap.h). Off by default; the
-  /// cycles are driven explicitly via beginIncrementalMarkCycle() /
-  /// incrementalMarkStep() / finishIncrementalMarkCycle().
-  bool IncrementalMark = false;
-  /// Mostly-concurrent marking: an open SATB cycle is drained by a
-  /// dedicated marker thread overlapped with mutation; mutators only pay
-  /// the open, the per-safepoint SATB buffer flushes, and the closing
-  /// drain-to-convergence pause. Mutually exclusive with IncrementalMark
-  /// (the two are alternative pacings of the same cycle machinery);
-  /// requires an Immix collector. Final heap state is bit-identical to
-  /// stop-the-world and interleaved marking at the same close point.
-  bool ConcurrentMark = false;
+  /// Mark-cycle pacing (see MarkPacing). The SATB pacings need an Immix
+  /// collector; their cycles are driven explicitly via
+  /// beginIncrementalMarkCycle() / incrementalMarkStep() or
+  /// satbFlushHandshake() / finishIncrementalMarkCycle().
+  MarkPacing Pacing = MarkPacing::StopTheWorld;
   /// Objects traced per incremental mark step or concurrent marker slice
   /// (0 = unbounded). The final heap is bit-identical under any budget
   /// or GC worker count; drive steps on a fixed schedule when
@@ -225,7 +216,7 @@ public:
   }
 
   /// \name Incremental SATB marking
-  /// Bounded-pause mark cycles (requires RuntimeConfig::IncrementalMark
+  /// Bounded-pause mark cycles (requires an SATB RuntimeConfig::Pacing
   /// and an Immix collector; see gc/Heap.h for the full contract).
   /// @{
   bool beginIncrementalMarkCycle() {

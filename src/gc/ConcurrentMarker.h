@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The mostly-concurrent half of SATB marking (HeapConfig::ConcurrentMark),
+/// The mostly-concurrent half of SATB marking (MarkPacing::Concurrent),
 /// in the lineage of bdwgc's incremental/generational machinery: a single
 /// dedicated marker thread drains the open cycle's mark frontier and the
 /// sealed SATB segments *while mutators run*, so the only stop-the-world

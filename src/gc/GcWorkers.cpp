@@ -155,15 +155,29 @@ void MarkWorkList::publish(unsigned Worker, std::vector<Item> Chunk) {
   WEARMEM_COUNT_TIMING("gc.mark.overflow_spills");
 }
 
+bool MarkWorkList::debitQuota() {
+  int64_t Q = Quota.load(std::memory_order_acquire);
+  while (Q > 0)
+    if (Quota.compare_exchange_weak(Q, Q - 1, std::memory_order_acq_rel))
+      return true;
+  return false;
+}
+
+void MarkWorkList::refundQuota() {
+  int64_t Q = Quota.load(std::memory_order_acquire);
+  while (Q > 0)
+    if (Quota.compare_exchange_weak(Q, Q + 1, std::memory_order_acq_rel))
+      return;
+}
+
 bool MarkWorkList::pop(unsigned Worker, Item &Out) {
   // Budgeted increments debit the quota up front and refund on failure,
   // so successful pops match debits exactly: an increment scans
-  // min(quota, available work) under any worker schedule.
-  bool Debited = Quota.load(std::memory_order_relaxed) >= 0;
-  if (Debited && Quota.fetch_sub(1, std::memory_order_acq_rel) <= 0) {
-    Quota.fetch_add(1, std::memory_order_relaxed);
+  // min(quota, available work) under any worker schedule. Unbudgeted
+  // phases never arm the quota and pay one relaxed load.
+  bool Debited = Quota.load(std::memory_order_relaxed) != Unlimited;
+  if (Debited && !debitQuota())
     return false;
-  }
   WorkerState &S = *W[Worker];
   if (!S.Local.empty()) {
     Out = S.Local.back();
@@ -179,8 +193,8 @@ bool MarkWorkList::pop(unsigned Worker, Item &Out) {
     // strand the remaining spinners). The dropped debit only means
     // this increment scans slightly under budget; the shortfall stays
     // queued for the next one.
-    if (Debited && Quota.load(std::memory_order_acquire) != 0)
-      Quota.fetch_add(1, std::memory_order_relaxed);
+    if (Debited)
+      refundQuota();
     return false;
   }
   Out = S.Local.back();

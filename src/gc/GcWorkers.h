@@ -145,9 +145,12 @@ public:
   /// refund on failure, except when the quota reads spent at refund time:
   /// then the debit is dropped, because reviving a quota that other
   /// workers already exited on would strand the remaining idle spinners
-  /// (see pop()). An increment therefore scans *at most* quota objects -
-  /// possibly a few under, with the shortfall left queued - and the final
-  /// marked set is independent of budget and worker schedule either way.
+  /// (see pop()). Debit and refund only ever move a positive quota, so a
+  /// spent quota stays at 0 until the next increment rearms it and is
+  /// never mistaken for the Unlimited sentinel. An increment therefore
+  /// scans *at most* quota objects - possibly a few under, with the
+  /// shortfall left queued - and the final marked set is independent of
+  /// budget and worker schedule either way.
   /// reopen() rearms the list between increments: it clears the sticky
   /// termination state a drained step leaves behind and must only be
   /// called at a barrier (no worker inside pop).
@@ -158,7 +161,7 @@ public:
   void reopen() {
     Done.store(false, std::memory_order_relaxed);
     NumIdle.store(0, std::memory_order_relaxed);
-    Quota.store(-1, std::memory_order_relaxed);
+    Quota.store(Unlimited, std::memory_order_relaxed);
   }
   /// Barrier-only emptiness probe across every queue - private Local
   /// buffers included, since a spent quota strands items there. Decides
@@ -194,6 +197,10 @@ private:
   };
 
   bool refill(unsigned Worker);
+  /// Takes one unit of a positive quota; false once it is spent.
+  bool debitQuota();
+  /// Returns a debit, unless the quota is already spent.
+  void refundQuota();
   bool takeOwn(unsigned Worker, std::vector<Item> &Out);
   bool takeStolen(unsigned Worker, std::vector<Item> &Out);
   bool takeOverflow(std::vector<Item> &Out);
@@ -210,9 +217,10 @@ private:
   size_t OverflowPeak = 0;
   std::atomic<unsigned> NumIdle{0};
   std::atomic<bool> Done{false};
-  /// Remaining successful pops this increment; negative = unlimited
-  /// (the stop-the-world phases never arm it).
-  std::atomic<int64_t> Quota{-1};
+  /// Remaining successful pops this increment, or Unlimited (the
+  /// stop-the-world phases never arm it).
+  static constexpr int64_t Unlimited = -1;
+  std::atomic<int64_t> Quota{Unlimited};
 };
 
 } // namespace wearmem

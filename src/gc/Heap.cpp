@@ -841,6 +841,9 @@ void Heap::sweepPhase() {
     ImmixSweepTotals Totals = Immix->sweep(Epoch, Par);
     WEARMEM_COUNT_DET_N("gc.sweep.lines", Totals.TotalLines);
     Immix->clearDefragCandidates();
+    // The evacuation allocator's blocks were just swept onto the lists;
+    // drop its hold before any of them can be released below.
+    EvacAllocator->retire();
     // Return excess empty blocks to the OS pool so page-grained
     // allocators can compete for them (the paper's global block pool).
     // The ledger forgets released blocks: their failure words travel
@@ -855,7 +858,6 @@ void Heap::sweepPhase() {
             ? 1.0
             : static_cast<double>(Totals.FreeLines) /
                   static_cast<double>(Totals.TotalLines);
-    EvacAllocator->retire();
   } else {
     FreeListSpace::SweepTotals Totals = FreeList->sweep(Epoch);
     LastYield = Totals.TotalBytes == 0
@@ -891,7 +893,7 @@ void Heap::sweepPhase() {
 //===----------------------------------------------------------------------===//
 
 bool Heap::beginIncrementalMarkCycle() {
-  if (!(Config.IncrementalMark || Config.ConcurrentMark) || !Immix ||
+  if (Config.Pacing == MarkPacing::StopTheWorld || !Immix ||
       IncCycle || InCollection || OutOfMemory)
     return false;
   size_t Stopped = Safepoints.stopTheWorld();
@@ -961,7 +963,7 @@ bool Heap::beginIncrementalMarkCycle() {
                                 .count()));
   if (Stopped)
     Safepoints.resumeTheWorld();
-  if (Config.ConcurrentMark) {
+  if (Config.Pacing == MarkPacing::Concurrent) {
     // Hand the cycle to the marker thread: it exclusively owns worker
     // slot 0 and the work list until the close quiesces it. Line marks
     // defer from here on (the flag flips with the marker parked on both
@@ -977,7 +979,7 @@ bool Heap::beginIncrementalMarkCycle() {
 bool Heap::incrementalMarkStep() {
   if (!IncCycle)
     return false;
-  assert(!Config.ConcurrentMark &&
+  assert(Config.Pacing != MarkPacing::Concurrent &&
          "incrementalMarkStep is the interleaved pacing; a concurrent "
          "cycle is driven by the marker thread (satbFlushHandshake)");
   assert(!InCollection && "mark increment inside a collection");
@@ -1029,7 +1031,7 @@ void Heap::finishIncrementalMarkCycle() {
   if (!IncCycle)
     return;
   assert(!InCollection && "closing pause inside a collection");
-  if (Config.ConcurrentMark && Marker) {
+  if (Config.Pacing == MarkPacing::Concurrent && Marker) {
     // Quiesce the marker *before* stopping the world: the marker is not
     // a registered safepoint thread, so it would otherwise keep tracing
     // through the closing pause. The quiesce mutex hands every
@@ -1157,7 +1159,7 @@ void Heap::satbFlushHandshake() {
   // Quiesce the marker for the handshake window: the deferred
   // line-mark list below is marker-written state, and the brief park
   // (at most one bounded slice) hands it over with happens-before.
-  if (Config.ConcurrentMark && Marker)
+  if (Config.Pacing == MarkPacing::Concurrent && Marker)
     Marker->quiesce();
   // Park peers just long enough to seal every lane's partial buffer
   // into the sealed-segment queue and retire the line marks the marker

@@ -142,7 +142,7 @@ public:
   /// collect() with a cycle open simply closes it: the trigger that
   /// would have forced a collection gets the closing pause instead.
   ///
-  /// Requires Config.IncrementalMark and an Immix heap; returns false
+  /// Requires an SATB Config.Pacing and an Immix heap; returns false
   /// (and does nothing) otherwise, or when a cycle is already open.
   bool beginIncrementalMarkCycle();
   /// Runs one bounded mark increment; returns true while work remains.
@@ -154,10 +154,10 @@ public:
   size_t satbLogDepth() const { return Satb.size(); }
 
   //===--------------------------------------------------------------===//
-  // Mostly-concurrent marking (Config.ConcurrentMark)
+  // Mostly-concurrent marking (MarkPacing::Concurrent)
   //===--------------------------------------------------------------===//
 
-  /// With Config.ConcurrentMark, an open cycle is drained by a dedicated
+  /// With MarkPacing::Concurrent, an open cycle is drained by a dedicated
   /// marker thread (gc/ConcurrentMarker.h) instead of incremental steps:
   /// beginIncrementalMarkCycle arms the marker after seeding, drivers
   /// issue satbFlushHandshake() ticks instead of incrementalMarkStep(),
@@ -461,7 +461,7 @@ private:
   /// SATB deletion log, fed by writeRef/setRoot while IncCycle is open
   /// (per-lane buffers; the active lane's thread is the only pusher).
   SatbLog Satb;
-  /// The dedicated marker thread (Config.ConcurrentMark; created lazily
+  /// The dedicated marker thread (MarkPacing::Concurrent; created lazily
   /// on the first concurrent cycle, joined by ~Heap).
   std::unique_ptr<ConcurrentMarker> Marker;
   /// True between arming the marker at a cycle open and quiescing it at

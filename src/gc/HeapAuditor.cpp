@@ -283,7 +283,7 @@ void HeapAuditor::checkObjectGraph(AuditReport &Report) {
           // object it claimed may trail until the closing pause.
           bool LineMarkDeferred =
               H.incrementalCycleOpen() &&
-              (H.Config.ConcurrentMark || B->evacuating() ||
+              (H.Config.Pacing == MarkPacing::Concurrent || B->evacuating() ||
                (objectHasFlag(Obj, FlagPinned) && B->hasFreshFailure()));
           if (objectMark(Obj) == H.Epoch && !B->lineIsFailed(First) &&
               !LineMarkDeferred && B->lineMark(First) != H.Epoch) {

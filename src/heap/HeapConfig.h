@@ -55,6 +55,22 @@ inline bool isImmix(CollectorKind Kind) {
   return Kind == CollectorKind::Immix || Kind == CollectorKind::StickyImmix;
 }
 
+/// How a full-collection mark cycle is paced. The two SATB pacings drive
+/// the same cycle machinery (Heap::beginIncrementalMarkCycle and the
+/// close) and require an Immix collector; every pacing ends in a heap
+/// bit-identical to stop-the-world marking at the same close point.
+enum class MarkPacing : uint8_t {
+  /// The mark phase runs inside the collection pause; no cycle opens.
+  StopTheWorld,
+  /// Fixed-budget mark increments interleave with mutation at mutator
+  /// turns (Heap::incrementalMarkStep).
+  Incremental,
+  /// A dedicated marker thread drains the open cycle overlapped with
+  /// mutation; mutators only pay the open, the SATB flush handshakes
+  /// and the closing drain-to-convergence pause (gc/ConcurrentMarker.h).
+  Concurrent,
+};
+
 /// Line-mark byte values. Values 1..MaxEpoch are liveness epochs; full
 /// collections advance the epoch so stale marks read as free. LineFailed
 /// is the fourth line state the paper adds to Immix (Section 4).
@@ -254,18 +270,11 @@ struct HeapConfig {
   /// any value produces bit-identical post-collection heap state.
   unsigned GcThreads = 1;
 
-  /// Incremental (SATB) marking: full-collection mark work may be split
-  /// into fixed-budget increments that interleave with mutation (see
-  /// Heap::beginIncrementalMarkCycle). Off by default; the stop-the-world
-  /// paths are untouched when disabled. Requires an Immix collector.
-  bool IncrementalMark = false;
-  /// Mostly-concurrent marking: the increments of an open SATB cycle run
-  /// on a dedicated marker thread overlapped with mutation instead of
-  /// interleaved at mutator turns (see gc/ConcurrentMarker.h). Mutually
-  /// exclusive with IncrementalMark; requires an Immix collector. The
-  /// closing pause still drains to convergence, so the final heap state
-  /// is bit-identical to both other modes.
-  bool ConcurrentMark = false;
+  /// Mark-cycle pacing. StopTheWorld (the default) leaves the
+  /// stop-the-world paths untouched; the SATB pacings let
+  /// Heap::beginIncrementalMarkCycle open a cycle and require an Immix
+  /// collector.
+  MarkPacing Pacing = MarkPacing::StopTheWorld;
   /// Objects scanned per mark increment when a cycle is stepped
   /// (Heap::incrementalMarkStep), or per concurrent marker slice; 0
   /// means unbounded (one step finishes the trace; the marker bounds its

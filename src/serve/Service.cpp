@@ -292,7 +292,13 @@ ServeResult wearmem::runServe(const ServeOptions &Opt) {
         ++St.ShedRequests;
       if (R.Outcome == SessionOutcome::Exhausted) {
         ++St.ExhaustedRequests;
-        St.Dead = true; // Queued requests never serve; arrivals reject.
+        // A dead shard serves nothing more: its queued requests are
+        // rejected like the arrivals that follow, so every arrival ends
+        // served or rejected.
+        St.Dead = true;
+        St.Rejected[RejEmergency] += St.Queue.size();
+        St.Admitted -= St.Queue.size();
+        St.Queue.clear();
       }
       Rec.recordSojourn(K, St.ServerFreeAtUs - ArrivedAt);
       Rec.recordWall(

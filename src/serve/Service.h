@@ -105,6 +105,10 @@ struct ServeOptions {
 struct TenantServeResult {
   uint32_t Id = 0;
   std::string ProfileName;
+  /// Every arrival ends served or rejected: Arrivals == Admitted + the
+  /// rejections, and Admitted == Served. A shard that dies of exhaustion
+  /// rejects its still-queued requests as RejEmergency, like the
+  /// arrivals that follow.
   uint64_t Arrivals = 0;
   uint64_t Admitted = 0;
   uint64_t Served = 0;

@@ -75,14 +75,15 @@ const char *cli::collectorNameList() { return "ms, ix, s-ms, s-ix"; }
 bool cli::consumeMarkFlag(int Argc, char **Argv, int &I, MarkFlags &Flags,
                           std::string &Err) {
   const char *Arg = Argv[I];
-  if (std::strcmp(Arg, "--incremental-mark") == 0) {
-    Flags.IncrementalMark = true;
+  auto SetPacing = [&Flags](MarkPacing P) {
+    Flags.BothPacings |= Flags.anyMode() && Flags.Pacing != P;
+    Flags.Pacing = P;
     return true;
-  }
-  if (std::strcmp(Arg, "--concurrent-mark") == 0) {
-    Flags.ConcurrentMark = true;
-    return true;
-  }
+  };
+  if (std::strcmp(Arg, "--incremental-mark") == 0)
+    return SetPacing(MarkPacing::Incremental);
+  if (std::strcmp(Arg, "--concurrent-mark") == 0)
+    return SetPacing(MarkPacing::Concurrent);
   std::string Value;
   if (splitEqFlag(Arg, "--mark-budget", Value)) {
     // "--mark-budget=N" carries the value; bare "--mark-budget N" takes
@@ -108,7 +109,7 @@ bool cli::consumeMarkFlag(int Argc, char **Argv, int &I, MarkFlags &Flags,
 
 const char *cli::validateMarkFlags(const MarkFlags &Flags,
                                    CollectorKind Collector) {
-  if (Flags.IncrementalMark && Flags.ConcurrentMark)
+  if (Flags.BothPacings)
     return "--incremental-mark and --concurrent-mark are mutually "
            "exclusive (two pacings of the same cycle machinery)";
   if (Flags.anyMode() && !isImmix(Collector))

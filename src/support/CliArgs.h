@@ -52,12 +52,13 @@ bool parseCollector(const std::string &Name, CollectorKind &Out);
 /// @{
 
 struct MarkFlags {
-  bool IncrementalMark = false;
-  bool ConcurrentMark = false;
+  MarkPacing Pacing = MarkPacing::StopTheWorld;
+  /// Both pacing flags were given; validateMarkFlags rejects it.
+  bool BothPacings = false;
   uint64_t MarkBudget = 0;
   bool MarkBudgetSet = false;
   /// True when any marking mode is requested.
-  bool anyMode() const { return IncrementalMark || ConcurrentMark; }
+  bool anyMode() const { return Pacing != MarkPacing::StopTheWorld; }
 };
 
 /// Attempts to consume the mark-related flag at Argv[I]. Returns true

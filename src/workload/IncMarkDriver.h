@@ -11,15 +11,15 @@
 /// interval of the workload's target; how the open cycle is paced
 /// depends on the runtime's marking mode:
 ///
-///  * Interleaved (RuntimeConfig::IncrementalMark): every turn takes one
+///  * MarkPacing::Incremental (interleaved): every turn takes one
 ///    budgeted mark step; the step that reports an empty frontier closes
 ///    the cycle.
-///  * Concurrent (RuntimeConfig::ConcurrentMark): the marker thread does
-///    the tracing; the driver's turns only issue flush handshakes (seal
-///    per-lane SATB buffers, wake the marker) on a fixed allocation-
-///    clock sub-interval, and close the cycle at a fixed virtual-time
-///    point - *never* "when the marker looks idle", which would make
-///    the close point schedule-dependent.
+///  * MarkPacing::Concurrent: the marker thread does the tracing; the
+///    driver's turns only issue flush handshakes (seal per-lane SATB
+///    buffers, wake the marker) on a fixed allocation-clock
+///    sub-interval, and close the cycle at a fixed virtual-time point -
+///    *never* "when the marker looks idle", which would make the close
+///    point schedule-dependent.
 ///
 /// Everything is keyed to virtual time (allocated bytes and turn order,
 /// never the wall clock), so two runs with the same seed and lane count
@@ -46,7 +46,7 @@ public:
   /// roughly one cycle per sixteenth of the run, floored so tiny smoke
   /// runs still exercise at least a cycle or two.
   IncMarkDriver(Runtime &Rt, uint64_t TargetBytes)
-      : Rt(Rt), Concurrent(Rt.config().ConcurrentMark),
+      : Rt(Rt), Concurrent(Rt.config().Pacing == MarkPacing::Concurrent),
         Interval(std::max<uint64_t>(TargetBytes / 16, 64 * KiB)),
         NextOpen(Interval) {}
 

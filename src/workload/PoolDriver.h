@@ -41,7 +41,7 @@ struct PoolDriverSpec {
   double VolumeScale = 1.0;
   AdversaryKind Adversary = AdversaryKind::None;
   /// Pump the shared IncMarkDriver each turn (callers pass their
-  /// MarkFlags::anyMode(); the runtime config picks the pacing).
+  /// MarkFlags::anyMode(); RuntimeConfig::Pacing picks the pacing).
   bool DriveMark = false;
 };
 

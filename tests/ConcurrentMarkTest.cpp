@@ -19,7 +19,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "gc/Heap.h"
+#include "StormChecks.h"
+
 #include "gc/HeapAuditor.h"
 #include "workload/MutatorPool.h"
 
@@ -33,215 +34,22 @@ using namespace wearmem;
 
 namespace {
 
-/// The three pacings of the same cycle machinery under test. Stw never
-/// opens a cycle; Interleaved pumps incrementalMarkStep() from the
-/// mutator; Concurrent arms the marker thread and only ever issues
-/// flush handshakes from the mutator.
-enum class Mode { Stw, Interleaved, Concurrent };
-
-HeapConfig markConfig(Mode M, unsigned GcThreads,
-                      unsigned MarkBudget = 256) {
-  HeapConfig Config;
-  Config.Collector = CollectorKind::StickyImmix;
-  Config.BudgetPages = (32 * MiB) / PcmPageSize;
-  Config.GcThreads = GcThreads;
-  Config.Failures.Rate = 0.02;
-  Config.Failures.Seed = 7;
-  Config.DefragFreeFraction = 0.35;
-  Config.IncrementalMark = M == Mode::Interleaved;
-  Config.ConcurrentMark = M == Mode::Concurrent;
-  Config.MarkBudget = MarkBudget;
-  return Config;
-}
-
-/// Builds NumLists rooted linked lists (slot 0 = next, slot 1 = a
-/// cross-link slot) and returns the head root indices. Every fourth
-/// node carries a "satellite" object reachable only through that one
-/// cross link; the storm shuffles those around. Payloads are stamped so
-/// payload-hashing digests mean something.
-std::vector<unsigned> buildLists(Heap &Hp, unsigned NumLists,
-                                 unsigned ListLen) {
-  std::vector<unsigned> Heads;
-  for (unsigned L = 0; L != NumLists; ++L) {
-    unsigned HeadRoot = Hp.createRoot(nullptr);
-    for (unsigned I = 0; I != ListLen; ++I) {
-      ObjRef Node = Hp.allocate(/*PayloadBytes=*/48, /*NumRefs=*/2);
-      if (!Node)
-        break;
-      *reinterpret_cast<uint64_t *>(objectPayload(Node)) =
-          (uint64_t(L) << 32) | I;
-      if (I % 4 == 0) {
-        ObjRef Sat = Hp.allocate(/*PayloadBytes=*/32, /*NumRefs=*/0);
-        if (Sat) {
-          *reinterpret_cast<uint64_t *>(objectPayload(Sat)) =
-              0x5A7ull << 32 | (uint64_t(L) << 16) | I;
-          Hp.writeRef(Node, 1, Sat);
-        }
-      }
-      if (ObjRef Head = Hp.root(HeadRoot))
-        Hp.writeRef(Node, 0, Head);
-      Hp.setRoot(HeadRoot, Node);
-    }
-    Heads.push_back(HeadRoot);
-  }
-  return Heads;
-}
-
-ObjRef walk(ObjRef Node, unsigned Steps) {
-  for (unsigned I = 0; I != Steps && Node; ++I) {
-    ObjRef Next = Heap::readRef(Node, 0);
-    if (!Next)
-      break;
-    Node = Next;
-  }
-  return Node;
-}
-
-/// One deterministic reference-store mutation: swap two nodes' slot-1
-/// cross links (or rewrite a head root with its own value). Swaps
-/// permute the satellites without dropping one, so the live set evolves
-/// identically whatever pacing drains the mark work - but between the
-/// two writes a satellite's only strong reference is gone, which is
-/// exactly the window the racing marker thread must be protected from
-/// by the deletion log.
-void mutationOp(Heap &Hp, const std::vector<unsigned> &Heads, uint64_t I) {
-  uint64_t H = (I + 1) * 0x9E3779B97F4A7C15ull;
-  unsigned L1 = static_cast<unsigned>((H >> 8) % Heads.size());
-  unsigned L2 = static_cast<unsigned>((H >> 24) % Heads.size());
-  if ((H & 7) == 0) {
-    Hp.setRoot(Heads[L1], Hp.root(Heads[L1]));
-    return;
-  }
-  ObjRef A = walk(Hp.root(Heads[L1]), static_cast<unsigned>((H >> 40) % 37));
-  ObjRef B = walk(Hp.root(Heads[L2]), static_cast<unsigned>((H >> 48) % 37));
-  if (!A || !B || A == B)
-    return;
-  ObjRef Ta = Heap::readRef(A, 1);
-  ObjRef Tb = Heap::readRef(B, 1);
-  Hp.writeRef(A, 1, Tb);
-  Hp.writeRef(B, 1, Ta);
-}
-
-struct LegResult {
-  uint64_t Digest = 0;
-  uint64_t GcCount = 0;
-  uint64_t FullGcCount = 0;
-  uint64_t ObjectsAllocated = 0;
-  uint64_t BytesAllocated = 0;
-  uint64_t FailedLinesDynamic = 0;
-  uint64_t PinnedFailurePageRemaps = 0;
-  uint64_t ObjectsMarked = 0;
-  uint64_t BytesTraced = 0;
-  uint64_t ObjectsEvacuated = 0;
-  uint64_t MarkIncrements = 0;
-  uint64_t SatbLogged = 0;
-  uint64_t SatbDrained = 0;
-};
-
-constexpr unsigned StormBatches = 40;
-constexpr unsigned OpsPerBatch = 50;
-
-/// Runs one leg: build, then a write storm. The marking legs open a
-/// cycle first; the interleaved leg steps once per batch while the
-/// concurrent leg issues one flush handshake per batch (the marker
-/// thread drains in the background on its own schedule). All legs
-/// close with the cycle's full collection at the same point in the
-/// mutation history, then a settling full collection, then digest.
-///
-/// Determinism scoping: the marker's *schedule* is free-running, but
-/// every deterministic observable - the heap digest, the allocation
-/// and collection counters, the trace totals merged in worker order at
-/// the close, and the SATB ledger (logged at the barrier, drained
-/// exactly once) - is a pure function of the mutation history and the
-/// open/close points, which this harness pins to identical batch
-/// boundaries across all three modes.
-LegResult runLeg(Mode M, unsigned GcThreads, unsigned MarkBudget,
-                 bool MidCycleFailure) {
-  Heap Hp(markConfig(M, GcThreads, MarkBudget));
-  std::vector<unsigned> Heads = buildLists(Hp, 4, 2500);
-  // A pinned fail target: never moves, keeps its block held, so the
-  // fence lands on the same address in every leg.
-  ObjRef Pinned = Hp.allocate(64, 0, /*Pinned=*/true);
-  EXPECT_NE(Pinned, nullptr);
-  Hp.createRoot(Pinned);
-  EXPECT_FALSE(Hp.outOfMemory());
-
-  if (M != Mode::Stw) {
-    EXPECT_TRUE(Hp.beginIncrementalMarkCycle());
-  }
-  for (unsigned Batch = 0; Batch != StormBatches; ++Batch) {
-    for (unsigned I = 0; I != OpsPerBatch; ++I)
-      mutationOp(Hp, Heads, uint64_t(Batch) * OpsPerBatch + I);
-    if (MidCycleFailure && Batch == StormBatches / 2 && M != Mode::Stw) {
-      // Mid-cycle failure with the marker live: must park (the whole
-      // cycle is a mark phase), not fence lines under the tracer.
-      uint64_t DeferredBefore = Hp.stats().MarkPhaseDeferredInterrupts;
-      Hp.injectDynamicFailureBatch({Pinned});
-      EXPECT_EQ(Hp.stats().MarkPhaseDeferredInterrupts,
-                DeferredBefore + 1);
-      EXPECT_EQ(Hp.stats().FailedLinesDynamic, 0u)
-          << "failure applied while the cycle was open";
-    }
-    if (M == Mode::Interleaved)
-      Hp.incrementalMarkStep();
-    else if (M == Mode::Concurrent)
-      Hp.satbFlushHandshake();
-  }
-  if (M != Mode::Stw) {
-    Hp.finishIncrementalMarkCycle(); // Quiesces the marker, drains all.
-    EXPECT_FALSE(Hp.incrementalCycleOpen());
-  } else {
-    Hp.collect(CollectionKind::Full);
-    if (MidCycleFailure)
-      // The marking legs fence at the post-close drain; match that
-      // point in virtual time.
-      Hp.injectDynamicFailureBatch({Pinned});
-  }
-  Hp.collect(CollectionKind::Full); // Settle.
-
-  HeapAuditor Auditor(Hp);
-  LegResult R;
-  R.Digest = Auditor.digest(/*HashPayload=*/true);
-  EXPECT_TRUE(Auditor.audit().passed());
-  const HeapStats &S = Hp.stats();
-  R.GcCount = S.GcCount;
-  R.FullGcCount = S.FullGcCount;
-  R.ObjectsAllocated = S.ObjectsAllocated;
-  R.BytesAllocated = S.BytesAllocated;
-  R.FailedLinesDynamic = S.FailedLinesDynamic;
-  R.PinnedFailurePageRemaps = S.PinnedFailurePageRemaps;
-  R.ObjectsMarked = S.ObjectsMarked;
-  R.BytesTraced = S.BytesTraced;
-  R.ObjectsEvacuated = S.ObjectsEvacuated;
-  R.MarkIncrements = S.MarkIncrements;
-  R.SatbLogged = S.SatbLogged;
-  R.SatbDrained = S.SatbDrained;
-  return R;
-}
-
-/// Observables every mode must agree on, including stop-the-world.
-void expectCrossModeEqual(const LegResult &A, const LegResult &B,
-                          const char *What) {
-  EXPECT_EQ(A.Digest, B.Digest) << What;
-  EXPECT_EQ(A.GcCount, B.GcCount) << What;
-  EXPECT_EQ(A.FullGcCount, B.FullGcCount) << What;
-  EXPECT_EQ(A.ObjectsAllocated, B.ObjectsAllocated) << What;
-  EXPECT_EQ(A.BytesAllocated, B.BytesAllocated) << What;
-  EXPECT_EQ(A.FailedLinesDynamic, B.FailedLinesDynamic) << What;
-  EXPECT_EQ(A.PinnedFailurePageRemaps, B.PinnedFailurePageRemaps) << What;
-  EXPECT_EQ(A.ObjectsMarked, B.ObjectsMarked) << What;
-  EXPECT_EQ(A.BytesTraced, B.BytesTraced) << What;
-  EXPECT_EQ(A.ObjectsEvacuated, B.ObjectsEvacuated) << What;
-}
-
-/// The marking modes additionally share the SATB ledger: the barrier
+/// The marking pacings additionally share the SATB ledger: the barrier
 /// logs unconditionally while a cycle is open, so with identical
 /// open/close points the log is the same whether steps or the marker
-/// thread drain it. MarkIncrements is deliberately excluded - it
-/// counts mutator-side steps, which the concurrent mode has none of.
-void expectMarkingLegsEqual(const LegResult &A, const LegResult &B,
+/// thread drain it. MarkIncrements is deliberately excluded - it counts
+/// mutator-side steps, which the concurrent pacing has none of.
+///
+/// Determinism scoping: the marker's *schedule* is free-running, but
+/// every deterministic observable - the heap digest, the allocation and
+/// collection counters, the trace totals merged in worker order at the
+/// close, and the SATB ledger (logged at the barrier, drained exactly
+/// once) - is a pure function of the mutation history and the
+/// open/close points, which the storm pins to identical batch
+/// boundaries under every pacing.
+void expectMarkingLegsEqual(const StormResult &A, const StormResult &B,
                             const char *What) {
-  expectCrossModeEqual(A, B, What);
+  EXPECT_EQ(stormMismatch(A, B), "") << What;
   EXPECT_EQ(A.SatbLogged, B.SatbLogged) << What;
   EXPECT_EQ(A.SatbDrained, B.SatbDrained) << What;
 }
@@ -253,7 +61,7 @@ void expectMarkingLegsEqual(const LegResult &A, const LegResult &B,
 //===----------------------------------------------------------------------===//
 
 TEST(ConcurrentMarkTest, LifecycleArmsAndQuiescesTheMarker) {
-  Heap Hp(markConfig(Mode::Concurrent, /*GcThreads=*/2));
+  Heap Hp(stormConfig(MarkPacing::Concurrent, /*GcThreads=*/2, 256));
   buildLists(Hp, 1, 200);
   // No cycle open: a flush handshake is a no-op, not a crash.
   Hp.satbFlushHandshake();
@@ -276,7 +84,7 @@ TEST(ConcurrentMarkTest, BackToBackCyclesReuseTheMarkerThread) {
   // One marker thread serves the heap's whole lifetime; every cycle
   // re-arms it and every close quiesces it. Three consecutive cycles
   // with mutation in between must each converge and stay auditable.
-  Heap Hp(markConfig(Mode::Concurrent, /*GcThreads=*/4));
+  Heap Hp(stormConfig(MarkPacing::Concurrent, /*GcThreads=*/4, 256));
   std::vector<unsigned> Heads = buildLists(Hp, 2, 800);
   for (unsigned Cycle = 0; Cycle != 3; ++Cycle) {
     ASSERT_TRUE(Hp.beginIncrementalMarkCycle());
@@ -296,7 +104,7 @@ TEST(ConcurrentMarkTest, BackToBackCyclesReuseTheMarkerThread) {
 }
 
 TEST(ConcurrentMarkTest, AllocationDuringCycleSurvivesTheClose) {
-  Heap Hp(markConfig(Mode::Concurrent, /*GcThreads=*/2));
+  Heap Hp(stormConfig(MarkPacing::Concurrent, /*GcThreads=*/2, 256));
   buildLists(Hp, 2, 500);
   ASSERT_TRUE(Hp.beginIncrementalMarkCycle());
   // Births during the cycle are allocated black: kept by the closing
@@ -337,11 +145,12 @@ TEST(ConcurrentMarkTest, AllocationDuringCycleSurvivesTheClose) {
 //===----------------------------------------------------------------------===//
 
 TEST(ConcurrentMarkTest, MatchesStopTheWorldAndInterleavedAcrossWorkers) {
-  LegResult Stw = runLeg(Mode::Stw, 1, 256, /*MidCycleFailure=*/false);
-  LegResult Inter = runLeg(Mode::Interleaved, 1, 256, false);
-  expectCrossModeEqual(Inter, Stw, "interleaved vs STW");
-  LegResult ConcSerial = runLeg(Mode::Concurrent, 1, 256, false);
-  expectCrossModeEqual(ConcSerial, Stw, "concurrent(1 worker) vs STW");
+  StormResult Stw = expectStormLeg(MarkPacing::StopTheWorld, 1, 256);
+  StormResult Inter = expectStormLeg(MarkPacing::Incremental, 1, 256);
+  EXPECT_EQ(stormMismatch(Inter, Stw), "") << "interleaved vs STW";
+  StormResult ConcSerial = expectStormLeg(MarkPacing::Concurrent, 1, 256);
+  EXPECT_EQ(stormMismatch(ConcSerial, Stw), "")
+      << "concurrent(1 worker) vs STW";
   expectMarkingLegsEqual(ConcSerial, Inter,
                          "concurrent vs interleaved SATB ledger");
   EXPECT_GT(ConcSerial.SatbLogged, 0u)
@@ -349,33 +158,40 @@ TEST(ConcurrentMarkTest, MatchesStopTheWorldAndInterleavedAcrossWorkers) {
   EXPECT_EQ(ConcSerial.SatbDrained, ConcSerial.SatbLogged)
       << "every logged deletion must eventually drain";
   EXPECT_EQ(ConcSerial.MarkIncrements, 0u);
-  for (unsigned Workers : {2u, 4u, 8u}) {
-    LegResult Conc = runLeg(Mode::Concurrent, Workers, 256, false);
+  // The last leg runs more GC workers than cores: the closing drains
+  // then run with workers preempted inside the work-list protocol.
+  for (unsigned Workers : {2u, 4u, 8u, oversubscribedWorkers()}) {
+    StormResult Conc = expectStormLeg(MarkPacing::Concurrent, Workers, 256);
     expectMarkingLegsEqual(Conc, ConcSerial, "worker-count divergence");
-    expectCrossModeEqual(Conc, Stw, "concurrent(N workers) vs STW");
+    EXPECT_EQ(stormMismatch(Conc, Stw), "") << "concurrent(N workers) vs STW";
   }
+  // So do the interleaved pacing's budgeted steps.
+  StormResult InterOver =
+      expectStormLeg(MarkPacing::Incremental, oversubscribedWorkers(), 256);
+  expectMarkingLegsEqual(InterOver, Inter, "oversubscribed interleaved");
 }
 
 TEST(ConcurrentMarkTest, FinalHeapIsIndependentOfMarkerSliceQuota) {
   // MarkBudget in concurrent mode is the marker's per-slice quota: it
   // shapes the marker's pause/latency trade-off, never the outcome.
   // Budget 0 exercises DefaultMarkerSliceQuota.
-  LegResult Base = runLeg(Mode::Concurrent, 2, 256, false);
+  StormResult Base = expectStormLeg(MarkPacing::Concurrent, 2, 256);
   for (unsigned Budget : {0u, 64u, 4096u}) {
-    LegResult R = runLeg(Mode::Concurrent, 2, Budget, false);
+    StormResult R = expectStormLeg(MarkPacing::Concurrent, 2, Budget);
     expectMarkingLegsEqual(R, Base, "slice quota changed the outcome");
   }
-  LegResult Again = runLeg(Mode::Concurrent, 2, 256, false);
+  StormResult Again = expectStormLeg(MarkPacing::Concurrent, 2, 256);
   expectMarkingLegsEqual(Again, Base, "rerun divergence");
 }
 
 TEST(ConcurrentMarkTest, MidCycleDynamicFailureParksWhileMarkerRuns) {
-  LegResult Stw = runLeg(Mode::Stw, 1, 256, /*MidCycleFailure=*/true);
+  StormResult Stw = expectStormLeg(MarkPacing::StopTheWorld, 1, 256,
+                                   /*MidCycleFailure=*/true);
   EXPECT_EQ(Stw.FailedLinesDynamic, 1u);
   for (unsigned Workers : {1u, 4u}) {
-    LegResult Conc = runLeg(Mode::Concurrent, Workers, 256,
-                            /*MidCycleFailure=*/true);
-    expectCrossModeEqual(Conc, Stw, "mid-cycle failure leg vs STW");
+    StormResult Conc = expectStormLeg(MarkPacing::Concurrent, Workers, 256,
+                                      /*MidCycleFailure=*/true);
+    EXPECT_EQ(stormMismatch(Conc, Stw), "") << "mid-cycle failure leg vs STW";
   }
 }
 
@@ -389,7 +205,7 @@ RuntimeConfig poolConfig(unsigned Lanes) {
   RuntimeConfig Config;
   Config.Collector = CollectorKind::StickyImmix;
   Config.HeapBytes = (8 * MiB) * Lanes;
-  Config.ConcurrentMark = true;
+  Config.Pacing = MarkPacing::Concurrent;
   return Config;
 }
 

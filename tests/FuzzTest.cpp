@@ -270,10 +270,9 @@ INSTANTIATE_TEST_SUITE_P(
 // the matching post-collection point in the stop-the-world leg.
 
 #include "gc/HeapAuditor.h"
+#include "workload/Storm.h"
 
 namespace {
-
-enum class SatbMode { Stw, Interleaved, Concurrent };
 
 struct SatbOp {
   enum Kind : uint8_t { Swap, RootStore, Fail, StepBoundary } K;
@@ -281,8 +280,8 @@ struct SatbOp {
 };
 
 /// One leg of the differential run. The schedule is precomputed so all
-/// legs perform byte-identical mutation; only the marking mode differs.
-uint64_t runSatbLeg(SatbMode Mode, unsigned GcThreads, uint64_t Seed,
+/// legs perform byte-identical mutation; only the mark pacing differs.
+uint64_t runSatbLeg(MarkPacing Pacing, unsigned GcThreads, uint64_t Seed,
                     const std::vector<SatbOp> &Schedule) {
   HeapConfig Cfg;
   Cfg.Collector = CollectorKind::StickyImmix;
@@ -290,11 +289,10 @@ uint64_t runSatbLeg(SatbMode Mode, unsigned GcThreads, uint64_t Seed,
   Cfg.GcThreads = GcThreads;
   Cfg.Failures.Rate = 0.05;
   Cfg.Failures.Seed = Seed;
-  Cfg.IncrementalMark = Mode == SatbMode::Interleaved;
-  Cfg.ConcurrentMark = Mode == SatbMode::Concurrent;
+  Cfg.Pacing = Pacing;
   Cfg.MarkBudget = 128;
   Heap Hp(Cfg);
-  const bool Marking = Mode != SatbMode::Stw;
+  const bool Marking = Pacing != MarkPacing::StopTheWorld;
 
   constexpr unsigned NumLists = 4;
   constexpr unsigned ListLen = 1200;
@@ -375,10 +373,7 @@ uint64_t runSatbLeg(SatbMode Mode, unsigned GcThreads, uint64_t Seed,
     case SatbOp::StepBoundary:
       // The same fuzzed pacing point means a budgeted step when the
       // mutator drains and a flush handshake when the marker does.
-      if (Mode == SatbMode::Interleaved)
-        Hp.incrementalMarkStep();
-      else if (Mode == SatbMode::Concurrent)
-        Hp.satbFlushHandshake();
+      paceCycle(Hp, Pacing);
       break;
     }
   }
@@ -434,15 +429,15 @@ TEST_P(SatbFuzz, IncrementalMatchesStopTheWorld) {
       Schedule.push_back({SatbOp::StepBoundary, 0, 0, 0, 0});
   }
 
-  uint64_t Stw = runSatbLeg(SatbMode::Stw, 1, Seed, Schedule);
-  uint64_t Inc1 = runSatbLeg(SatbMode::Interleaved, 1, Seed, Schedule);
-  uint64_t Inc4 = runSatbLeg(SatbMode::Interleaved, 4, Seed, Schedule);
+  uint64_t Stw = runSatbLeg(MarkPacing::StopTheWorld, 1, Seed, Schedule);
+  uint64_t Inc1 = runSatbLeg(MarkPacing::Incremental, 1, Seed, Schedule);
+  uint64_t Inc4 = runSatbLeg(MarkPacing::Incremental, 4, Seed, Schedule);
   EXPECT_EQ(Inc1, Stw) << "seed " << Seed;
   EXPECT_EQ(Inc4, Stw) << "seed " << Seed;
   // The marker-thread pacing of the same schedule: the free-running
   // drain must be invisible in the final heap.
-  uint64_t Conc1 = runSatbLeg(SatbMode::Concurrent, 1, Seed, Schedule);
-  uint64_t Conc4 = runSatbLeg(SatbMode::Concurrent, 4, Seed, Schedule);
+  uint64_t Conc1 = runSatbLeg(MarkPacing::Concurrent, 1, Seed, Schedule);
+  uint64_t Conc4 = runSatbLeg(MarkPacing::Concurrent, 4, Seed, Schedule);
   EXPECT_EQ(Conc1, Stw) << "seed " << Seed;
   EXPECT_EQ(Conc4, Stw) << "seed " << Seed;
 }

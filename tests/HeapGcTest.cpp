@@ -7,14 +7,19 @@
 //
 // Parameterized over the four collectors of Figure 3 (MS, IX, S-MS,
 // S-IX): liveness, reclamation, moving-collector transparency, write
-// barriers, pinning, and epoch-wrap behaviour.
+// barriers, pinning, and epoch-wrap behaviour; plus the sweep's release
+// of free blocks on a heavily failed heap.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Runtime.h"
+#include "gc/HeapAuditor.h"
+#include "workload/Mutator.h"
+#include "workload/Runner.h"
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 using namespace wearmem;
@@ -296,4 +301,30 @@ TEST(PinningTest, PinnedObjectsNeverMove) {
   EXPECT_EQ(Pinned.get(), PinnedBefore);
   EXPECT_EQ(payloadWord(Pinned.get()), 55u);
   (void)Movable;
+}
+
+//===----------------------------------------------------------------------===//
+// Sweep
+//===----------------------------------------------------------------------===//
+
+TEST(SweepTest, ReleasedBlocksOutliveNoAllocatorHold) {
+  // S-IX at 2x min heap, 50% failed lines, two-page clustering. On these
+  // runs a full collection's evacuation allocator ends holding a block
+  // nothing was copied into; the sweep frees it and releases it to the
+  // OS pool, so the allocator must let go of it before the release (an
+  // ASan build reports the stale read otherwise).
+  for (auto [Name, Seed] : {std::pair{"eclipse", 2ull}, {"sunflow", 12ull}}) {
+    const Profile &P = *findProfile(Name);
+    RuntimeConfig Config = baseConfig(CollectorKind::StickyImmix,
+                                      heapBytesFor(P, 2.0));
+    Config.FailureRate = 0.5;
+    Config.ClusteringRegionPages = 2;
+    Config.CompensateForFailures = true;
+    Config.Seed = Seed;
+    Runtime Rt(Config);
+    Mutator M(Rt, P, Seed * 7 + 1);
+    EXPECT_TRUE(M.run()) << Name;
+    EXPECT_GT(Rt.stats().FullGcCount, 0u) << Name;
+    EXPECT_TRUE(HeapAuditor(Rt.heap()).audit().passed()) << Name;
+  }
 }

@@ -13,7 +13,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "gc/Heap.h"
+#include "StormChecks.h"
+
 #include "gc/HeapAuditor.h"
 
 #include <gtest/gtest.h>
@@ -25,207 +26,15 @@ using namespace wearmem;
 
 namespace {
 
-HeapConfig incConfig(unsigned GcThreads, bool Incremental,
-                     unsigned MarkBudget = 256) {
-  HeapConfig Config;
-  Config.Collector = CollectorKind::StickyImmix;
-  Config.BudgetPages = (32 * MiB) / PcmPageSize;
-  Config.GcThreads = GcThreads;
-  Config.Failures.Rate = 0.02;
-  Config.Failures.Seed = 7;
-  Config.DefragFreeFraction = 0.35;
-  Config.IncrementalMark = Incremental;
-  Config.MarkBudget = MarkBudget;
-  return Config;
-}
-
-/// Builds NumLists rooted linked lists (slot 0 = next, slot 1 = a
-/// cross-link slot) and returns the head root indices. Every fourth
-/// node carries a "satellite" object in slot 1 that is reachable only
-/// through that one cross link; the storm shuffles those around. Node
-/// payloads are stamped so payload-hashing digests mean something.
-std::vector<unsigned> buildLists(Heap &Hp, unsigned NumLists,
-                                 unsigned ListLen) {
-  std::vector<unsigned> Heads;
-  for (unsigned L = 0; L != NumLists; ++L) {
-    unsigned HeadRoot = Hp.createRoot(nullptr);
-    for (unsigned I = 0; I != ListLen; ++I) {
-      ObjRef Node = Hp.allocate(/*PayloadBytes=*/48, /*NumRefs=*/2);
-      if (!Node)
-        break;
-      *reinterpret_cast<uint64_t *>(objectPayload(Node)) =
-          (uint64_t(L) << 32) | I;
-      if (I % 4 == 0) {
-        ObjRef Sat = Hp.allocate(/*PayloadBytes=*/32, /*NumRefs=*/0);
-        if (Sat) {
-          *reinterpret_cast<uint64_t *>(objectPayload(Sat)) =
-              0x5A7ull << 32 | (uint64_t(L) << 16) | I;
-          Hp.writeRef(Node, 1, Sat);
-        }
-      }
-      if (ObjRef Head = Hp.root(HeadRoot))
-        Hp.writeRef(Node, 0, Head);
-      Hp.setRoot(HeadRoot, Node);
-    }
-    Heads.push_back(HeadRoot);
-  }
-  return Heads;
-}
-
-ObjRef walk(ObjRef Node, unsigned Steps) {
-  for (unsigned I = 0; I != Steps && Node; ++I) {
-    ObjRef Next = Heap::readRef(Node, 0);
-    if (!Next)
-      break;
-    Node = Next;
-  }
-  return Node;
-}
-
-/// One deterministic reference-store mutation: swap two nodes' slot-1
-/// cross links (or rewrite a head root with its own value). Swaps
-/// permute the satellite objects without ever dropping one, so the live
-/// set - and therefore the physical heap the digest hashes - evolves
-/// identically whether marking runs incrementally or stop-the-world.
-/// They are still the classic SATB hazard: between the two writes a
-/// satellite's only strong reference is gone, and an already-scanned
-/// destination node will never be re-traced, so only the deletion log
-/// keeps the snapshot intact.
-void mutationOp(Heap &Hp, const std::vector<unsigned> &Heads, uint64_t I) {
-  uint64_t H = (I + 1) * 0x9E3779B97F4A7C15ull;
-  unsigned L1 = static_cast<unsigned>((H >> 8) % Heads.size());
-  unsigned L2 = static_cast<unsigned>((H >> 24) % Heads.size());
-  if ((H & 7) == 0) {
-    // Root-store flavor of the barrier: rewriting a root with its own
-    // value logs the overwritten reference without changing the graph.
-    Hp.setRoot(Heads[L1], Hp.root(Heads[L1]));
-    return;
-  }
-  ObjRef A = walk(Hp.root(Heads[L1]), static_cast<unsigned>((H >> 40) % 37));
-  ObjRef B = walk(Hp.root(Heads[L2]), static_cast<unsigned>((H >> 48) % 37));
-  if (!A || !B || A == B)
-    return;
-  ObjRef Ta = Heap::readRef(A, 1);
-  ObjRef Tb = Heap::readRef(B, 1);
-  Hp.writeRef(A, 1, Tb); // Ta now lives only in the deletion log...
-  Hp.writeRef(B, 1, Ta); // ...until it resurfaces here.
-}
-
-struct LegResult {
-  uint64_t Digest = 0;
-  uint64_t GcCount = 0;
-  uint64_t FullGcCount = 0;
-  uint64_t ObjectsAllocated = 0;
-  uint64_t BytesAllocated = 0;
-  uint64_t FailedLinesDynamic = 0;
-  uint64_t PinnedFailurePageRemaps = 0;
-  // Incremental-leg internals (compared across worker counts / budgets
-  // within incremental legs only; the stop-the-world leg has zeros).
-  uint64_t ObjectsMarked = 0;
-  uint64_t BytesTraced = 0;
-  uint64_t ObjectsEvacuated = 0;
-  uint64_t MarkIncrements = 0;
-  uint64_t SatbLogged = 0;
-  uint64_t SatbDrained = 0;
-};
-
-constexpr unsigned StormBatches = 40;
-constexpr unsigned OpsPerBatch = 50;
-
-/// Runs one leg: build, then a write storm, with the incremental leg
-/// opening a cycle first and stepping once per batch. Both legs finish
-/// with the cycle's full collection at the same point in the mutation
-/// history, then a settling full collection, then digest.
-LegResult runLeg(bool Incremental, unsigned GcThreads, unsigned MarkBudget,
-                 bool MidCycleFailure) {
-  Heap Hp(incConfig(GcThreads, Incremental, MarkBudget));
-  std::vector<unsigned> Heads = buildLists(Hp, 4, 2500);
-  // A pinned fail target: never moves, keeps its block held, so the
-  // fence lands on the same address in both legs.
-  ObjRef Pinned = Hp.allocate(64, 0, /*Pinned=*/true);
-  EXPECT_NE(Pinned, nullptr);
-  Hp.createRoot(Pinned);
-  EXPECT_FALSE(Hp.outOfMemory());
-
-  if (Incremental) {
-    EXPECT_TRUE(Hp.beginIncrementalMarkCycle());
-  }
-  for (unsigned Batch = 0; Batch != StormBatches; ++Batch) {
-    for (unsigned I = 0; I != OpsPerBatch; ++I)
-      mutationOp(Hp, Heads, uint64_t(Batch) * OpsPerBatch + I);
-    if (MidCycleFailure && Batch == StormBatches / 2 && Incremental) {
-      // Mid-cycle failure: must park (the whole cycle is a mark phase),
-      // not fence lines under the tracer's feet.
-      uint64_t DeferredBefore = Hp.stats().MarkPhaseDeferredInterrupts;
-      Hp.injectDynamicFailureBatch({Pinned});
-      EXPECT_EQ(Hp.stats().MarkPhaseDeferredInterrupts,
-                DeferredBefore + 1);
-      EXPECT_EQ(Hp.stats().FailedLinesDynamic, 0u)
-          << "failure applied while the cycle was open";
-    }
-    if (Incremental)
-      Hp.incrementalMarkStep();
-  }
-  if (Incremental) {
-    Hp.finishIncrementalMarkCycle(); // Drains the parked batch after.
-    EXPECT_FALSE(Hp.incrementalCycleOpen());
-  } else {
-    Hp.collect(CollectionKind::Full);
-    if (MidCycleFailure)
-      // The incremental leg fences at the post-close drain; match that
-      // point in virtual time.
-      Hp.injectDynamicFailureBatch({Pinned});
-  }
-  Hp.collect(CollectionKind::Full); // Settle.
-
-  HeapAuditor Auditor(Hp);
-  LegResult R;
-  R.Digest = Auditor.digest(/*HashPayload=*/true);
-  EXPECT_TRUE(Auditor.audit().passed());
-  const HeapStats &S = Hp.stats();
-  R.GcCount = S.GcCount;
-  R.FullGcCount = S.FullGcCount;
-  R.ObjectsAllocated = S.ObjectsAllocated;
-  R.BytesAllocated = S.BytesAllocated;
-  R.FailedLinesDynamic = S.FailedLinesDynamic;
-  R.PinnedFailurePageRemaps = S.PinnedFailurePageRemaps;
-  R.ObjectsMarked = S.ObjectsMarked;
-  R.BytesTraced = S.BytesTraced;
-  R.ObjectsEvacuated = S.ObjectsEvacuated;
-  R.MarkIncrements = S.MarkIncrements;
-  R.SatbLogged = S.SatbLogged;
-  R.SatbDrained = S.SatbDrained;
-  return R;
-}
-
-void expectCrossLegEqual(const LegResult &Inc, const LegResult &Stw,
-                         const char *What) {
-  EXPECT_EQ(Inc.Digest, Stw.Digest) << What;
-  EXPECT_EQ(Inc.GcCount, Stw.GcCount) << What;
-  EXPECT_EQ(Inc.FullGcCount, Stw.FullGcCount) << What;
-  EXPECT_EQ(Inc.ObjectsAllocated, Stw.ObjectsAllocated) << What;
-  EXPECT_EQ(Inc.BytesAllocated, Stw.BytesAllocated) << What;
-  EXPECT_EQ(Inc.FailedLinesDynamic, Stw.FailedLinesDynamic) << What;
-  EXPECT_EQ(Inc.PinnedFailurePageRemaps, Stw.PinnedFailurePageRemaps)
-      << What;
-  // The storm preserves the live set, so even the trace and evacuation
-  // work must match the stop-the-world leg exactly.
-  EXPECT_EQ(Inc.ObjectsMarked, Stw.ObjectsMarked) << What;
-  EXPECT_EQ(Inc.BytesTraced, Stw.BytesTraced) << What;
-  EXPECT_EQ(Inc.ObjectsEvacuated, Stw.ObjectsEvacuated) << What;
-}
-
-void expectIncLegsEqual(const LegResult &A, const LegResult &B,
+/// Legs of one pacing also share the cycle internals: with the step
+/// schedule fixed, increments and the SATB ledger are pure functions of
+/// the mutation history.
+void expectIncLegsEqual(const StormResult &A, const StormResult &B,
                         const char *What) {
-  EXPECT_EQ(A.Digest, B.Digest) << What;
-  EXPECT_EQ(A.ObjectsMarked, B.ObjectsMarked) << What;
-  EXPECT_EQ(A.BytesTraced, B.BytesTraced) << What;
-  EXPECT_EQ(A.ObjectsEvacuated, B.ObjectsEvacuated) << What;
+  EXPECT_EQ(stormMismatch(A, B), "") << What;
   EXPECT_EQ(A.MarkIncrements, B.MarkIncrements) << What;
   EXPECT_EQ(A.SatbLogged, B.SatbLogged) << What;
   EXPECT_EQ(A.SatbDrained, B.SatbDrained) << What;
-  EXPECT_EQ(A.GcCount, B.GcCount) << What;
-  EXPECT_EQ(A.FullGcCount, B.FullGcCount) << What;
 }
 
 } // namespace
@@ -236,13 +45,13 @@ void expectIncLegsEqual(const LegResult &A, const LegResult &B,
 
 TEST(IncrementalMarkTest, RequiresConfigAndRejectsNestedCycles) {
   {
-    Heap Hp(incConfig(1, /*Incremental=*/false));
+    Heap Hp(stormConfig(MarkPacing::StopTheWorld, 1, 256));
     EXPECT_FALSE(Hp.beginIncrementalMarkCycle())
-        << "IncrementalMark off must refuse to open a cycle";
+        << "stop-the-world pacing must refuse to open a cycle";
     EXPECT_FALSE(Hp.incrementalMarkStep());
     Hp.finishIncrementalMarkCycle(); // No-op, must not crash.
   }
-  Heap Hp(incConfig(1, /*Incremental=*/true));
+  Heap Hp(stormConfig(MarkPacing::Incremental, 1, 256));
   buildLists(Hp, 1, 100);
   ASSERT_TRUE(Hp.beginIncrementalMarkCycle());
   EXPECT_FALSE(Hp.beginIncrementalMarkCycle()) << "no nested cycles";
@@ -257,7 +66,7 @@ TEST(IncrementalMarkTest, RequiresConfigAndRejectsNestedCycles) {
 }
 
 TEST(IncrementalMarkTest, AllocationDuringCycleSurvivesTheClose) {
-  Heap Hp(incConfig(1, /*Incremental=*/true));
+  Heap Hp(stormConfig(MarkPacing::Incremental, 1, 256));
   std::vector<unsigned> Heads = buildLists(Hp, 2, 500);
   ASSERT_TRUE(Hp.beginIncrementalMarkCycle());
   // Births during the cycle are allocated black: kept by the closing
@@ -299,39 +108,44 @@ TEST(IncrementalMarkTest, AllocationDuringCycleSurvivesTheClose) {
 //===----------------------------------------------------------------------===//
 
 TEST(IncrementalMarkTest, MatchesStopTheWorldAcrossWorkerCounts) {
-  LegResult Stw = runLeg(/*Incremental=*/false, 1, 256,
-                         /*MidCycleFailure=*/false);
-  LegResult IncSerial = runLeg(/*Incremental=*/true, 1, 256, false);
-  expectCrossLegEqual(IncSerial, Stw, "incremental(1 worker) vs STW");
+  StormResult Stw = expectStormLeg(MarkPacing::StopTheWorld, 1, 256);
+  StormResult IncSerial = expectStormLeg(MarkPacing::Incremental, 1, 256);
+  // The storm preserves the live set, so even the trace and evacuation
+  // work must match the stop-the-world leg exactly.
+  EXPECT_EQ(stormMismatch(IncSerial, Stw), "")
+      << "incremental(1 worker) vs STW";
   EXPECT_GT(IncSerial.SatbLogged, 0u) << "storm must exercise the barrier";
   EXPECT_EQ(IncSerial.SatbDrained, IncSerial.SatbLogged)
       << "every logged deletion must eventually drain";
-  for (unsigned Threads : {2u, 4u, 8u}) {
-    LegResult Inc = runLeg(/*Incremental=*/true, Threads, 256, false);
+  // The last leg runs more GC workers than cores: budgeted steps then
+  // end with workers preempted inside the quota protocol, which must
+  // neither strand the idle spinners nor change the heap.
+  for (unsigned Threads : {2u, 4u, 8u, oversubscribedWorkers()}) {
+    StormResult Inc = expectStormLeg(MarkPacing::Incremental, Threads, 256);
     expectIncLegsEqual(Inc, IncSerial, "worker-count divergence");
-    expectCrossLegEqual(Inc, Stw, "incremental(N workers) vs STW");
+    EXPECT_EQ(stormMismatch(Inc, Stw), "") << "incremental(N workers) vs STW";
   }
 }
 
 TEST(IncrementalMarkTest, FinalHeapIsIndependentOfMarkBudget) {
-  LegResult Base = runLeg(/*Incremental=*/true, 2, 256, false);
+  StormResult Base = expectStormLeg(MarkPacing::Incremental, 2, 256);
   for (unsigned Budget : {0u, 64u, 4096u}) {
-    LegResult R = runLeg(/*Incremental=*/true, 2, Budget, false);
+    StormResult R = expectStormLeg(MarkPacing::Incremental, 2, Budget);
     expectIncLegsEqual(R, Base, "budget changed the outcome");
   }
   // Rerun determinism at a fixed configuration.
-  LegResult Again = runLeg(/*Incremental=*/true, 2, 256, false);
+  StormResult Again = expectStormLeg(MarkPacing::Incremental, 2, 256);
   expectIncLegsEqual(Again, Base, "rerun divergence");
 }
 
 TEST(IncrementalMarkTest, MidCycleDynamicFailureParksUntilTheClose) {
-  LegResult Stw = runLeg(/*Incremental=*/false, 1, 256,
-                         /*MidCycleFailure=*/true);
+  StormResult Stw = expectStormLeg(MarkPacing::StopTheWorld, 1, 256,
+                                   /*MidCycleFailure=*/true);
   EXPECT_EQ(Stw.FailedLinesDynamic, 1u);
   for (unsigned Threads : {1u, 4u}) {
-    LegResult Inc = runLeg(/*Incremental=*/true, Threads, 256,
-                           /*MidCycleFailure=*/true);
-    expectCrossLegEqual(Inc, Stw, "mid-cycle failure leg vs STW");
+    StormResult Inc = expectStormLeg(MarkPacing::Incremental, Threads, 256,
+                                     /*MidCycleFailure=*/true);
+    EXPECT_EQ(stormMismatch(Inc, Stw), "") << "mid-cycle failure leg vs STW";
   }
 }
 
@@ -342,7 +156,7 @@ TEST(IncrementalMarkTest, MidCycleAuditToleratesDeferredLineMarks) {
   // between increments (the soak tool audits on its own cadence, which
   // lands inside open cycles) must read that as the mark-phase
   // transient it is, not as a mark/line-mark inconsistency.
-  Heap Hp(incConfig(/*GcThreads=*/1, /*Incremental=*/true));
+  Heap Hp(stormConfig(MarkPacing::Incremental, /*GcThreads=*/1, 256));
   std::vector<unsigned> Heads = buildLists(Hp, 4, 800);
   // Fragment the heap so the cycle open selects defrag candidates:
   // drop half the lists, then collect so the sweep records the holes.
@@ -369,7 +183,8 @@ TEST(IncrementalMarkTest, DrainedFailureOnStaleLineKeepsSuccessorLive) {
   // here is live at the current epoch, and the downgrade would hand its
   // line to the hole scan (the auditor sees it as a mark/line-mark
   // mismatch first).
-  HeapConfig Config = incConfig(/*GcThreads=*/1, /*Incremental=*/true);
+  HeapConfig Config =
+      stormConfig(MarkPacing::Incremental, /*GcThreads=*/1, 256);
   Config.Failures.Rate = 0.0; // Fresh block: adjacency is deterministic.
   Heap Hp(Config);
   const uint32_t OneLine =

@@ -286,7 +286,7 @@ TEST_F(ObsTest, GcPauseAccountingStaysInTheTimingDomain) {
   RuntimeConfig Cfg;
   Cfg.Collector = CollectorKind::StickyImmix;
   Cfg.HeapBytes = 8 * MiB;
-  Cfg.IncrementalMark = true;
+  Cfg.Pacing = MarkPacing::Incremental;
   Runtime Rt(Cfg);
   Handle Head = Rt.allocateRooted(8, 1);
   ASSERT_NE(Head.get(), nullptr);

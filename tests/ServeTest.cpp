@@ -16,7 +16,9 @@
 //  - a starved perfect-page window produces typed quota rejections under
 //    both split policies; a full admission queue produces typed
 //    queue-full rejections; every arrival is conserved across
-//    admitted + rejected.
+//    admitted + rejected;
+//  - a shard that dies of exhaustion rejects its still-queued requests
+//    instead of stranding them uncounted.
 //
 // The cross-run determinism matrix (shard orders, GC workers) lives in
 // bench/serve01_multitenant; these tests pin the semantics.
@@ -193,6 +195,31 @@ TEST(ServeTest, TinyQueueShedsWithTypedRejections) {
     EXPECT_EQ(T.Served, T.Admitted);
     EXPECT_TRUE(T.AuditPassed);
   }
+}
+
+TEST(ServeTest, ExhaustedTenantRejectsItsQueuedRequests) {
+  // Tenant 1 runs luindex on half its natural carve at 1.2x heap under
+  // a load its single server cannot keep up with: it dies of exhaustion
+  // with requests still queued behind the fatal one. A dead shard never
+  // serves them, so they must be rejected as Emergency - the type its
+  // later arrivals get - and no arrival may go missing.
+  ServeOptions Opt = twoTenants("", /*NeighborBudgetScale=*/0.5);
+  Opt.HeapFactor = 1.2;
+  Opt.ArrivalRatePerSec = 20000.0;
+  Opt.DurationSec = 0.2;
+  Opt.Seed = 1;
+  ServeResult R = runServe(Opt);
+  ASSERT_TRUE(R.ConfigOk) << R.Error;
+  const TenantServeResult &Dying = R.Tenants[1];
+  EXPECT_EQ(Dying.ExhaustedRequests, 1u);
+  EXPECT_EQ(Dying.FinalMode, "fail-stop");
+  EXPECT_GT(Dying.Rejected[RejEmergency], 0u);
+  for (const TenantServeResult &T : R.Tenants) {
+    EXPECT_EQ(T.Arrivals, T.Served + totalRejected(T)) << "tenant " << T.Id;
+    EXPECT_EQ(T.Arrivals, T.Admitted + totalRejected(T)) << "tenant " << T.Id;
+    EXPECT_EQ(T.Served, T.Admitted) << "tenant " << T.Id;
+  }
+  EXPECT_EQ(R.Tenants[0].ExhaustedRequests, 0u);
 }
 
 TEST(ServeTest, MisconfigurationIsAnErrorNotACrash) {

@@ -274,8 +274,7 @@ int main(int argc, char **argv) {
   Config.CompensateForFailures = Compensate;
   Config.UseDiscontiguousArrays = Arraylets;
   Config.GcThreads = GcThreads;
-  Config.IncrementalMark = Mark.IncrementalMark;
-  Config.ConcurrentMark = Mark.ConcurrentMark;
+  Config.Pacing = Mark.Pacing;
   if (Mark.MarkBudgetSet)
     Config.MarkBudget = Mark.MarkBudget;
   Config.Seed = Seed;
@@ -356,7 +355,8 @@ int main(int argc, char **argv) {
     if (Mark.anyMode())
       std::printf("%s mark: %llu cycles, %llu increments, "
                   "%llu satb logged / %llu drained\n",
-                  Mark.ConcurrentMark ? "concurrent" : "incremental",
+                  Mark.Pacing == MarkPacing::Concurrent ? "concurrent"
+                                                        : "incremental",
                   static_cast<unsigned long long>(
                       S.IncrementalCyclesClosed),
                   static_cast<unsigned long long>(S.MarkIncrements),
@@ -418,7 +418,8 @@ int main(int argc, char **argv) {
     if (Mark.anyMode())
       std::printf("%s mark: %llu cycles, %llu increments, "
                   "%llu satb logged / %llu drained\n",
-                  Mark.ConcurrentMark ? "concurrent" : "incremental",
+                  Mark.Pacing == MarkPacing::Concurrent ? "concurrent"
+                                                        : "incremental",
                   static_cast<unsigned long long>(
                       Rt.stats().IncrementalCyclesClosed),
                   static_cast<unsigned long long>(

@@ -418,8 +418,7 @@ RuntimeConfig makeConfig(const SoakOptions &Opt, const Profile &P) {
   Config.ClusteringRegionPages = Opt.ClusteringRegionPages;
   Config.MaxDebtPages = Opt.MaxDebtPages;
   Config.GcThreads = Opt.GcThreads;
-  Config.IncrementalMark = Opt.Mark.IncrementalMark;
-  Config.ConcurrentMark = Opt.Mark.ConcurrentMark;
+  Config.Pacing = Opt.Mark.Pacing;
   if (Opt.Mark.MarkBudgetSet)
     Config.MarkBudget = Opt.Mark.MarkBudget;
   Config.Seed = Opt.Seed;
@@ -719,7 +718,8 @@ void printJson(const SoakOptions &Opt, const SoakOutcome &Out,
     W.key("incremental_mark");
     W.openObject(JsonWriter::Style::Inline);
     W.key("mode");
-    W.value(Opt.Mark.ConcurrentMark ? "concurrent" : "interleaved");
+    W.value(Opt.Mark.Pacing == MarkPacing::Concurrent ? "concurrent"
+                                                     : "interleaved");
     W.key("cycles_opened");
     W.value(Out.Heap.IncrementalCyclesOpened);
     W.key("cycles_closed");
