@@ -22,6 +22,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "GateHarness.h"
+
 #include "heap/ImmixSpace.h"
 #include "support/JsonWriter.h"
 #include "support/Random.h"
@@ -31,18 +33,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <string>
 #include <vector>
 
 using namespace wearmem;
+using gate::msSince;
 
 namespace {
-
-double msSince(std::chrono::steady_clock::time_point Start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - Start)
-      .count();
-}
 
 /// One ImmixSpace + allocator over a fresh failure-injected OS budget.
 struct Arena {
@@ -263,20 +259,8 @@ double stepSpeedup(const DuelResult &D) {
 } // namespace
 
 int main(int argc, char **argv) {
-  uint64_t Seed = 42;
-  std::string OutPath = "BENCH_alloc_path.json";
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--seed") == 0 && I + 1 < argc)
-      Seed = std::strtoull(argv[++I], nullptr, 10);
-    else if (std::strcmp(argv[I], "--out") == 0 && I + 1 < argc)
-      OutPath = argv[++I];
-    else {
-      std::fprintf(stderr,
-                   "usage: %s [--seed N] [--out BENCH_alloc_path.json]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  const gate::Options Opt = gate::parseArgs(argc, argv, "alloc_path", 0);
+  const uint64_t Seed = Opt.Seed;
 
   const double Rates[] = {0.0, 0.02, 0.08};
   const char *Phases[] = {"bump_alloc", "recycled_alloc",
@@ -358,11 +342,7 @@ int main(int argc, char **argv) {
 
   // Deterministic JSON: counters only, fixed field order, no timestamps
   // or wall times. Same seed => byte-identical file.
-  FILE *Out = std::fopen(OutPath.c_str(), "w");
-  if (!Out) {
-    std::fprintf(stderr, "cannot open %s\n", OutPath.c_str());
-    return 2;
-  }
+  FILE *Out = gate::openOut(Opt);
   JsonWriter W(Out);
   W.openRoot();
   W.key("bench");
@@ -448,9 +428,7 @@ int main(int argc, char **argv) {
   W.close();
   W.key("self_check_mismatches");
   W.value(Mismatches);
-  W.closeRoot();
-  std::fclose(Out);
-  std::printf("\nwrote %s\n", OutPath.c_str());
+  gate::finishOut(W, Out, Opt);
 
   // Gate: equivalence must hold and the word scan must beat the oracle
   // on deterministic scan work.

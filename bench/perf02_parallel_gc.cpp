@@ -30,13 +30,15 @@
 // the 4-worker heap must collect at least 1.8x faster than the serial
 // heap - but never enter the JSON. The speedup gate only arms on
 // machines with >= 4 hardware threads and can be disarmed with
-// --no-speedup-gate (CI's TSan job does this; instrumented timing is
+// --no-timing-gate (CI's TSan job does this; instrumented timing is
 // meaningless).
 //
-// Exit codes: 0 ok, 1 usage, 2 determinism mismatch, 3 speedup gate
-// failure.
+// Exit codes: 0 ok, 2 determinism mismatch, 3 speedup gate failure
+// (flags and usage errors: bench/GateHarness.h).
 //
 //===----------------------------------------------------------------------===//
+
+#include "GateHarness.h"
 
 #include "core/Runtime.h"
 #include "gc/Heap.h"
@@ -50,7 +52,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -206,11 +207,7 @@ ConfigResult runConfig(unsigned GcThreads, uint64_t Seed, double Scale,
     auto Start = std::chrono::steady_clock::now();
     for (unsigned I = 0; I != TimedGcs; ++I)
       Hp.collect(CollectionKind::Full);
-    double Ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - Start)
-                    .count();
-    if (BestMs < 0.0 || Ms < BestMs)
-      BestMs = Ms;
+    gate::keepMin(BestMs, gate::msSince(Start));
     if (Rep == 0) {
       // Digest once per timed collection round: the heap is in its
       // post-full-GC fixed point, identical for every worker count.
@@ -317,38 +314,16 @@ bool mutatorCellsEqual(const MutatorResult &A, const MutatorResult &B) {
 } // namespace
 
 int main(int argc, char **argv) {
-  uint64_t Seed = 42;
-  std::string OutPath = "BENCH_parallel_gc.json";
-  double Scale = 1.0;
-  unsigned Reps = 3;
-  bool NoSpeedupGate = false;
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--seed") == 0 && I + 1 < argc)
-      Seed = std::strtoull(argv[++I], nullptr, 10);
-    else if (std::strcmp(argv[I], "--out") == 0 && I + 1 < argc)
-      OutPath = argv[++I];
-    else if (std::strcmp(argv[I], "--scale") == 0 && I + 1 < argc)
-      Scale = std::atof(argv[++I]);
-    else if (std::strcmp(argv[I], "--reps") == 0 && I + 1 < argc)
-      Reps = static_cast<unsigned>(std::strtoul(argv[++I], nullptr, 10));
-    else if (std::strcmp(argv[I], "--no-speedup-gate") == 0)
-      NoSpeedupGate = true;
-    else {
-      std::fprintf(stderr,
-                   "usage: %s [--seed N] [--out FILE] [--scale F] "
-                   "[--reps N] [--no-speedup-gate]\n",
-                   argv[0]);
-      return 1;
-    }
-  }
-  if (Reps == 0)
-    Reps = 1;
+  const gate::Options Opt = gate::parseArgs(
+      argc, argv, "parallel_gc", gate::TakesScale | gate::Timed, 3);
+  const uint64_t Seed = Opt.Seed;
+  const double Scale = Opt.Scale;
 
   std::printf("%-10s %10s %10s %12s %10s %9s\n", "gc-threads", "full-gcs",
               "evacuated", "lines-swept", "digests", "gc-ms");
   ConfigResult Results[NumConfigs];
   for (unsigned C = 0; C != NumConfigs; ++C) {
-    Results[C] = runConfig(WorkerCounts[C], Seed, Scale, Reps);
+    Results[C] = runConfig(WorkerCounts[C], Seed, Scale, Opt.Reps);
     const ConfigResult &R = Results[C];
     std::printf("%-10u %10llu %10llu %12llu %10zu %9.2f\n", R.GcThreads,
                 (unsigned long long)R.FullGcCount,
@@ -371,28 +346,36 @@ int main(int argc, char **argv) {
   // workers) combination must converge on one digest and one set of
   // deterministic counters - the turnstile schedule, not the thread
   // interleaving, owns the heap's evolution.
+  auto RunCell = [&](std::vector<MutatorResult> &Cells, unsigned MutThreads,
+                     unsigned GcThreads, AdversaryKind Adversary) {
+    Cells.push_back(
+        runMutatorConfig(MutThreads, GcThreads, Seed, Scale, Adversary));
+    const MutatorResult &R = Cells.back();
+    std::printf("%-12u %-10u %10llu %10llu   %016llx\n", R.MutatorThreads,
+                R.GcThreads, (unsigned long long)R.GcCount,
+                (unsigned long long)R.ObjectsEvacuated,
+                (unsigned long long)R.Digest);
+  };
+  auto AllAgree = [](const std::vector<MutatorResult> &Cells,
+                     const char *What) {
+    bool Same = true;
+    for (const MutatorResult &R : Cells)
+      if (!mutatorCellsEqual(Cells.front(), R) || !R.Completed) {
+        Same = false;
+        std::printf("MISMATCH: %s%u mutator threads x %u workers "
+                    "diverges\n",
+                    What, R.MutatorThreads, R.GcThreads);
+      }
+    return Same;
+  };
   std::printf("\n%-12s %-10s %10s %10s %18s\n", "mut-threads",
               "gc-threads", "gcs", "evacuated", "digest");
   std::vector<MutatorResult> Matrix;
   for (unsigned M = 0; M != NumMutatorThreadCounts; ++M)
-    for (unsigned C = 0; C != NumConfigs; ++C) {
-      Matrix.push_back(runMutatorConfig(MutatorThreadCounts[M],
-                                        WorkerCounts[C], Seed, Scale,
-                                        AdversaryKind::None));
-      const MutatorResult &R = Matrix.back();
-      std::printf("%-12u %-10u %10llu %10llu   %016llx\n",
-                  R.MutatorThreads, R.GcThreads,
-                  (unsigned long long)R.GcCount,
-                  (unsigned long long)R.ObjectsEvacuated,
-                  (unsigned long long)R.Digest);
-    }
-  bool MutatorIdentical = true;
-  for (const MutatorResult &R : Matrix)
-    if (!mutatorCellsEqual(Matrix.front(), R) || !R.Completed) {
-      MutatorIdentical = false;
-      std::printf("MISMATCH: %u mutator threads x %u workers diverges\n",
-                  R.MutatorThreads, R.GcThreads);
-    }
+    for (unsigned C = 0; C != NumConfigs; ++C)
+      RunCell(Matrix, MutatorThreadCounts[M], WorkerCounts[C],
+              AdversaryKind::None);
+  bool MutatorIdentical = AllAgree(Matrix, "");
 
   // Adversary corner cells: lane determinism must also hold when every
   // lane runs an adversarial strategy (the frag ladder maximizes
@@ -403,51 +386,25 @@ int main(int argc, char **argv) {
               "mut-threads", "gc-threads", "gcs", "evacuated", "digest");
   std::vector<MutatorResult> AdvMatrix;
   for (unsigned MutThreads : {1u, 4u})
-    for (unsigned GcThreads : {1u, 8u}) {
-      AdvMatrix.push_back(runMutatorConfig(MutThreads, GcThreads, Seed,
-                                           Scale, AdversaryKind::Frag));
-      const MutatorResult &R = AdvMatrix.back();
-      std::printf("%-12u %-10u %10llu %10llu   %016llx\n",
-                  R.MutatorThreads, R.GcThreads,
-                  (unsigned long long)R.GcCount,
-                  (unsigned long long)R.ObjectsEvacuated,
-                  (unsigned long long)R.Digest);
-    }
-  bool AdversaryIdentical = true;
-  for (const MutatorResult &R : AdvMatrix)
-    if (!mutatorCellsEqual(AdvMatrix.front(), R) || !R.Completed) {
-      AdversaryIdentical = false;
-      std::printf("MISMATCH: frag %u mutator threads x %u workers "
-                  "diverges\n",
-                  R.MutatorThreads, R.GcThreads);
-    }
+    for (unsigned GcThreads : {1u, 8u})
+      RunCell(AdvMatrix, MutThreads, GcThreads, AdversaryKind::Frag);
+  bool AdversaryIdentical = AllAgree(AdvMatrix, "frag ");
 
   double Speedup =
       Results[2].GcMs > 0.0 ? Results[0].GcMs / Results[2].GcMs : 0.0;
-  unsigned Hw = std::thread::hardware_concurrency();
-  bool GateArmed = !NoSpeedupGate && Hw >= 4;
+  bool FewThreads = std::thread::hardware_concurrency() < 4;
+  bool GateArmed = !Opt.NoTimingGate && !FewThreads;
   std::printf("\nserial %.2f ms vs 4-worker %.2f ms -> %.2fx speedup "
               "(gate %s: need >= 1.80)\n",
               Results[0].GcMs, Results[2].GcMs, Speedup,
-              GateArmed ? "armed"
-                        : (NoSpeedupGate ? "disarmed by flag"
-                                         : "disarmed: < 4 hw threads"));
+              FewThreads && !Opt.NoTimingGate ? "disarmed: < 4 hw threads"
+                                              : gate::armedLabel(Opt));
 
   // Deterministic JSON: counters and digests only, fixed field order,
   // no wall times. Same seed => byte-identical file.
-  FILE *Out = std::fopen(OutPath.c_str(), "w");
-  if (!Out) {
-    std::fprintf(stderr, "cannot open %s\n", OutPath.c_str());
-    return 1;
-  }
+  FILE *Out = gate::openOut(Opt);
   JsonWriter W(Out);
-  W.openRoot();
-  W.key("bench");
-  W.value("perf02_parallel_gc");
-  W.key("seed");
-  W.value(Seed);
-  W.key("scale");
-  W.valueF(Scale, 3);
+  gate::writeHead(W, "perf02_parallel_gc", Opt);
   W.key("timed_gcs");
   W.value(TimedGcs);
   W.key("configs");
@@ -486,69 +443,45 @@ int main(int argc, char **argv) {
   W.value(Identical);
   W.key("mutator_lanes");
   W.value(MutatorLanes);
-  W.key("mutator_matrix");
-  W.openArray(JsonWriter::Style::Line);
-  for (const MutatorResult &R : Matrix) {
-    W.openObject(JsonWriter::Style::Inline);
-    W.key("mutator_threads");
-    W.value(R.MutatorThreads);
-    W.key("gc_threads");
-    W.value(R.GcThreads);
-    W.key("gc_count");
-    W.value(R.GcCount);
-    W.key("full_gc_count");
-    W.value(R.FullGcCount);
-    W.key("objects_allocated");
-    W.value(R.ObjectsAllocated);
-    W.key("bytes_allocated");
-    W.value(R.BytesAllocated);
-    W.key("objects_evacuated");
-    W.value(R.ObjectsEvacuated);
-    W.key("blocks_retired");
-    W.value(R.BlocksRetired);
-    W.key("lines_swept");
-    W.value(R.LinesSwept);
-    W.key("digest");
-    W.valueHex(R.Digest);
+  auto WriteCells = [&W](const char *Key,
+                         const std::vector<MutatorResult> &Cells) {
+    W.key(Key);
+    W.openArray(JsonWriter::Style::Line);
+    for (const MutatorResult &R : Cells) {
+      W.openObject(JsonWriter::Style::Inline);
+      W.key("mutator_threads");
+      W.value(R.MutatorThreads);
+      W.key("gc_threads");
+      W.value(R.GcThreads);
+      W.key("gc_count");
+      W.value(R.GcCount);
+      W.key("full_gc_count");
+      W.value(R.FullGcCount);
+      W.key("objects_allocated");
+      W.value(R.ObjectsAllocated);
+      W.key("bytes_allocated");
+      W.value(R.BytesAllocated);
+      W.key("objects_evacuated");
+      W.value(R.ObjectsEvacuated);
+      W.key("blocks_retired");
+      W.value(R.BlocksRetired);
+      W.key("lines_swept");
+      W.value(R.LinesSwept);
+      W.key("digest");
+      W.valueHex(R.Digest);
+      W.close();
+    }
     W.close();
-  }
-  W.close();
+  };
+  WriteCells("mutator_matrix", Matrix);
   W.key("identical_across_mutator_threads");
   W.value(MutatorIdentical);
   W.key("adversary");
   W.value(adversaryName(AdversaryKind::Frag));
-  W.key("adversary_matrix");
-  W.openArray(JsonWriter::Style::Line);
-  for (const MutatorResult &R : AdvMatrix) {
-    W.openObject(JsonWriter::Style::Inline);
-    W.key("mutator_threads");
-    W.value(R.MutatorThreads);
-    W.key("gc_threads");
-    W.value(R.GcThreads);
-    W.key("gc_count");
-    W.value(R.GcCount);
-    W.key("full_gc_count");
-    W.value(R.FullGcCount);
-    W.key("objects_allocated");
-    W.value(R.ObjectsAllocated);
-    W.key("bytes_allocated");
-    W.value(R.BytesAllocated);
-    W.key("objects_evacuated");
-    W.value(R.ObjectsEvacuated);
-    W.key("blocks_retired");
-    W.value(R.BlocksRetired);
-    W.key("lines_swept");
-    W.value(R.LinesSwept);
-    W.key("digest");
-    W.valueHex(R.Digest);
-    W.close();
-  }
-  W.close();
+  WriteCells("adversary_matrix", AdvMatrix);
   W.key("identical_across_adversary_cells");
   W.value(AdversaryIdentical);
-  W.closeRoot();
-  std::fclose(Out);
-  std::printf("wrote %s\n", OutPath.c_str());
+  gate::finishOut(W, Out, Opt);
 
   if (!Identical || !MutatorIdentical || !AdversaryIdentical)
     return 2;

@@ -23,9 +23,12 @@
 //     the sums. Exit 4.
 //
 // The emitted BENCH_obs_overhead.json contains only deterministic
-// values; wall times go to stdout. Exit 0 ok, 64 usage.
+// values; wall times go to stdout. Exit 0 ok; flags and usage errors:
+// bench/GateHarness.h.
 //
 //===----------------------------------------------------------------------===//
+
+#include "GateHarness.h"
 
 #include "gc/Heap.h"
 #include "gc/HeapAuditor.h"
@@ -34,11 +37,8 @@
 #include "obs/Obs.h"
 #include "support/JsonWriter.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -120,9 +120,7 @@ RunResultObs runWorkload(unsigned GcThreads, uint64_t Seed, double Scale) {
   }
   for (unsigned I = 0; I != 2 && !Hp.outOfMemory(); ++I)
     Hp.collect(CollectionKind::Full);
-  R.Ms = std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - Start)
-             .count();
+  R.Ms = gate::msSince(Start);
 
   HeapAuditor Auditor(Hp);
   R.Digest = Auditor.digest(/*HashPayload=*/true);
@@ -157,32 +155,10 @@ RunResultObs runRegime(uint32_t Mask, unsigned GcThreads, uint64_t Seed,
 } // namespace
 
 int main(int argc, char **argv) {
-  uint64_t Seed = 42;
-  double Scale = 1.0;
-  unsigned Reps = 7;
-  bool NoTimingGate = false;
-  std::string OutPath = "BENCH_obs_overhead.json";
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--seed") == 0 && I + 1 < argc)
-      Seed = std::strtoull(argv[++I], nullptr, 10);
-    else if (std::strcmp(argv[I], "--scale") == 0 && I + 1 < argc)
-      Scale = std::atof(argv[++I]);
-    else if (std::strcmp(argv[I], "--reps") == 0 && I + 1 < argc)
-      Reps = static_cast<unsigned>(std::strtoul(argv[++I], nullptr, 10));
-    else if (std::strcmp(argv[I], "--out") == 0 && I + 1 < argc)
-      OutPath = argv[++I];
-    else if (std::strcmp(argv[I], "--no-timing-gate") == 0)
-      NoTimingGate = true;
-    else {
-      std::fprintf(stderr,
-                   "usage: %s [--seed N] [--scale F] [--reps N] "
-                   "[--no-timing-gate] [--out FILE]\n",
-                   argv[0]);
-      return 64;
-    }
-  }
-  if (Reps == 0)
-    Reps = 1;
+  const gate::Options Opt = gate::parseArgs(
+      argc, argv, "obs_overhead", gate::TakesScale | gate::Timed, 7);
+  const uint64_t Seed = Opt.Seed;
+  const double Scale = Opt.Scale;
 
   // Transparency + overhead: serial heap, disabled vs fully enabled.
   // The workload is tens of milliseconds, so absolute floors jitter with
@@ -190,43 +166,39 @@ int main(int argc, char **argv) {
   // burst spans one side's reps. Instead each rep runs the two regimes
   // back to back and contributes one enabled/disabled ratio - a slow
   // period inflates both legs of its pair and cancels - and the gate
-  // takes the median ratio, immune to a few noisy pairs. If the first
-  // round still lands over the threshold, re-measure up to two more
-  // rounds over the accumulated pairs: transient noise clears, a
-  // genuine regression fails every round.
-  runRegime(0, 1, Seed, Scale); // warm page cache + allocator pools
+  // takes the median ratio over the accumulated pairs, immune to a few
+  // noisy pairs.
   RunResultObs Disabled, Enabled;
+  bool HaveFirstPair = false;
   double DisabledMs = -1.0, EnabledMs = -1.0;
   std::vector<double> Ratios;
   double Overhead = 0.0;
-  constexpr unsigned MaxRounds = 3;
-  for (unsigned Round = 0; Round != MaxRounds; ++Round) {
-    for (unsigned Rep = 0; Rep != Reps; ++Rep) {
-      RunResultObs D = runRegime(0, 1, Seed, Scale);
-      if (DisabledMs < 0.0 || D.Ms < DisabledMs)
-        DisabledMs = D.Ms;
-      RunResultObs E = runRegime(obs::AllDomains, 1, Seed, Scale);
-      if (EnabledMs < 0.0 || E.Ms < EnabledMs)
-        EnabledMs = E.Ms;
-      if (D.Ms > 0.0)
-        Ratios.push_back(E.Ms / D.Ms);
-      if (Round == 0 && Rep == 0) {
-        Disabled = D;
-        Enabled = std::move(E);
-      }
-    }
-    std::sort(Ratios.begin(), Ratios.end());
-    Overhead = Ratios.empty() ? 0.0 : Ratios[Ratios.size() / 2] - 1.0;
-    if (NoTimingGate || Overhead < 0.05)
-      break;
-    std::printf("round %u over threshold (%.2f%%), re-measuring\n",
-                Round + 1, Overhead * 100.0);
-  }
+  gate::measureRounds(
+      Opt,
+      [&] { runRegime(0, 1, Seed, Scale); }, // Page cache, allocator pools.
+      [&](unsigned) {
+        RunResultObs D = runRegime(0, 1, Seed, Scale);
+        gate::keepMin(DisabledMs, D.Ms);
+        RunResultObs E = runRegime(obs::AllDomains, 1, Seed, Scale);
+        gate::keepMin(EnabledMs, E.Ms);
+        if (D.Ms > 0.0)
+          Ratios.push_back(E.Ms / D.Ms);
+        if (!HaveFirstPair) {
+          Disabled = D;
+          Enabled = std::move(E);
+          HaveFirstPair = true;
+        }
+      },
+      [&] {
+        Overhead = gate::median(Ratios) - 1.0;
+        return Overhead < 0.05 ? std::string()
+                               : gate::format("%.2f%%", Overhead * 100.0);
+      });
   bool Transparent = sameDeterministic(Disabled, Enabled);
   std::printf("disabled best %.2f ms, enabled best %.2f ms, median "
               "paired overhead %.2f%% (gate %s: need < 5%%)\n",
               DisabledMs, EnabledMs, Overhead * 100.0,
-              NoTimingGate ? "disarmed by flag" : "armed");
+              gate::armedLabel(Opt));
   std::printf("transparency: digest 0x%016llx vs 0x%016llx -> %s\n",
               (unsigned long long)Disabled.Digest,
               (unsigned long long)Enabled.Digest,
@@ -258,19 +230,9 @@ int main(int argc, char **argv) {
               NumWorkerCounts,
               MetricsIdentical ? "IDENTICAL" : "DIVERGED");
 
-  FILE *Out = std::fopen(OutPath.c_str(), "w");
-  if (!Out) {
-    std::fprintf(stderr, "cannot open %s\n", OutPath.c_str());
-    return 1;
-  }
+  FILE *Out = gate::openOut(Opt);
   JsonWriter W(Out);
-  W.openRoot();
-  W.key("bench");
-  W.value("obs_overhead");
-  W.key("seed");
-  W.value(Seed);
-  W.key("scale");
-  W.valueF(Scale, 3);
+  gate::writeHead(W, "obs_overhead", Opt);
   W.key("digest");
   W.valueHex(Disabled.Digest);
   W.key("counters");
@@ -296,16 +258,14 @@ int main(int argc, char **argv) {
   W.value(Transparent);
   W.key("metrics_identical");
   W.value(MetricsIdentical);
-  W.closeRoot();
-  std::fclose(Out);
-  std::printf("wrote %s\n", OutPath.c_str());
+  gate::finishOut(W, Out, Opt);
 
   if (!Transparent) {
     std::fprintf(stderr, "FAIL: observability changed deterministic "
                          "behavior\n");
     return 2;
   }
-  if (!NoTimingGate && Overhead >= 0.05) {
+  if (!Opt.NoTimingGate && Overhead >= 0.05) {
     std::fprintf(stderr, "FAIL: %.2f%% observability overhead >= 5%%\n",
                  Overhead * 100.0);
     return 3;

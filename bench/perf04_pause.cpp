@@ -22,9 +22,12 @@
 //     --no-timing-gate disarms (sanitizers).
 //
 // The emitted BENCH_pause.json contains only deterministic values; wall
-// times go to stdout. Exit 0 ok, 64 usage.
+// times go to stdout. Exit 0 ok; flags and usage errors:
+// bench/GateHarness.h.
 //
 //===----------------------------------------------------------------------===//
+
+#include "GateHarness.h"
 
 #include "support/JsonWriter.h"
 #include "workload/Storm.h"
@@ -32,23 +35,16 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 using namespace wearmem;
+using gate::msSince;
 
 namespace {
 
 constexpr unsigned WorkerCounts[] = {1, 2, 4, 8};
 constexpr unsigned NumWorkerCounts = 4;
-
-double msSince(std::chrono::steady_clock::time_point Start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - Start)
-      .count();
-}
 
 //===----------------------------------------------------------------------===//
 // Pause legs: identical heaps, stop-the-world vs incremental pauses
@@ -64,19 +60,18 @@ struct PausePair {
 /// takes a single stop-the-world full collection, the other runs a full
 /// incremental cycle with every pause timed individually. Back-to-back
 /// pairing makes the ratio robust to machine-load drift.
-PausePair measurePausePair(uint64_t Seed, double Scale,
-                           unsigned MarkBudget) {
+PausePair measurePausePair(uint64_t Seed, double Scale) {
   PausePair P;
   unsigned ListLen = static_cast<unsigned>(12000 * Scale);
   {
-    Heap Hp(stormPauseConfig(MarkPacing::StopTheWorld, MarkBudget));
+    Heap Hp(stormPauseConfig(MarkPacing::StopTheWorld));
     buildLists(Hp, 4, ListLen, Seed);
     auto T0 = std::chrono::steady_clock::now();
     Hp.collect(CollectionKind::Full);
     P.StwMs = msSince(T0);
   }
   {
-    Heap Hp(stormPauseConfig(MarkPacing::Incremental, MarkBudget));
+    Heap Hp(stormPauseConfig(MarkPacing::Incremental));
     buildLists(Hp, 4, ListLen, Seed);
     auto T0 = std::chrono::steady_clock::now();
     Hp.beginIncrementalMarkCycle();
@@ -98,50 +93,25 @@ PausePair measurePausePair(uint64_t Seed, double Scale,
 } // namespace
 
 int main(int argc, char **argv) {
-  uint64_t Seed = 42;
-  double Scale = 1.0;
-  unsigned Reps = 7;
-  unsigned MarkBudget = 512;
-  bool NoTimingGate = false;
-  std::string OutPath = "BENCH_pause.json";
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--seed") == 0 && I + 1 < argc)
-      Seed = std::strtoull(argv[++I], nullptr, 10);
-    else if (std::strcmp(argv[I], "--scale") == 0 && I + 1 < argc)
-      Scale = std::atof(argv[++I]);
-    else if (std::strcmp(argv[I], "--reps") == 0 && I + 1 < argc)
-      Reps = static_cast<unsigned>(std::strtoul(argv[++I], nullptr, 10));
-    else if (std::strcmp(argv[I], "--mark-budget") == 0 && I + 1 < argc)
-      MarkBudget =
-          static_cast<unsigned>(std::strtoul(argv[++I], nullptr, 10));
-    else if (std::strcmp(argv[I], "--out") == 0 && I + 1 < argc)
-      OutPath = argv[++I];
-    else if (std::strcmp(argv[I], "--no-timing-gate") == 0)
-      NoTimingGate = true;
-    else {
-      std::fprintf(stderr,
-                   "usage: %s [--seed N] [--scale F] [--reps N] "
-                   "[--mark-budget N] [--no-timing-gate] [--out FILE]\n",
-                   argv[0]);
-      return 64;
-    }
-  }
-  if (Reps == 0)
-    Reps = 1;
+  const gate::Options Opt = gate::parseArgs(
+      argc, argv, "pause", gate::TakesScale | gate::Timed, 7);
+  const uint64_t Seed = Opt.Seed;
+  const double Scale = Opt.Scale;
 
   // Determinism: stop-the-world reference leg, then incremental legs at
   // every worker count. The increments and SATB totals must also agree
   // *between* incremental legs (the step schedule is fixed, so they are
   // pure functions of the mutation history).
-  StormResult Stw = runStormLeg(MarkPacing::StopTheWorld, 1, MarkBudget,
-                                Seed, Scale, /*MidCycleFailure=*/true);
+  StormResult Stw = runStormLeg(MarkPacing::StopTheWorld, 1,
+                                StormMarkBudget, Seed, Scale,
+                                /*MidCycleFailure=*/true);
   bool Identical = Stw.AuditPassed;
   if (!Stw.AuditPassed)
     std::printf("AUDIT FAILED: stop-the-world leg\n");
   StormResult IncFirst;
   for (unsigned C = 0; C != NumWorkerCounts; ++C) {
     StormResult Inc = runStormLeg(MarkPacing::Incremental, WorkerCounts[C],
-                                  MarkBudget, Seed, Scale,
+                                  StormMarkBudget, Seed, Scale,
                                   /*MidCycleFailure=*/true);
     if (!Inc.AuditPassed) {
       Identical = false;
@@ -174,76 +144,39 @@ int main(int argc, char **argv) {
               (unsigned long long)IncFirst.SatbDrained,
               (unsigned long long)IncFirst.MarkIncrements);
 
-  // Pause SLO: median of paired max-incremental-pause / stop-the-world
-  // ratios at the 4-worker configuration; up to two re-measure rounds
-  // soak up transient machine noise (a genuine regression fails every
-  // round).
-  measurePausePair(Seed, Scale, MarkBudget); // Warm the allocator pools.
+  // Pause SLO: median of the accumulated paired max-incremental-pause /
+  // stop-the-world ratios at the 4-worker configuration.
   std::vector<double> Ratios;
   double Ratio = 0.0;
   double BestStw = -1.0, BestInc = -1.0;
   unsigned Steps = 0;
-  constexpr unsigned MaxRounds = 3;
-  for (unsigned Round = 0; Round != MaxRounds; ++Round) {
-    for (unsigned Rep = 0; Rep != Reps; ++Rep) {
-      PausePair P = measurePausePair(Seed + Rep, Scale, MarkBudget);
-      if (BestStw < 0.0 || P.StwMs < BestStw)
-        BestStw = P.StwMs;
-      if (BestInc < 0.0 || P.MaxIncMs < BestInc)
-        BestInc = P.MaxIncMs;
-      Steps = P.Steps;
-      if (P.StwMs > 0.0)
-        Ratios.push_back(P.MaxIncMs / P.StwMs);
-    }
-    std::sort(Ratios.begin(), Ratios.end());
-    Ratio = Ratios.empty() ? 0.0 : Ratios[Ratios.size() / 2];
-    if (NoTimingGate || Ratio <= 0.20)
-      break;
-    std::printf("round %u over threshold (%.1f%%), re-measuring\n",
-                Round + 1, Ratio * 100.0);
-  }
+  gate::measureRounds(
+      Opt, [&] { measurePausePair(Seed, Scale); }, // Allocator pools.
+      [&](unsigned Rep) {
+        PausePair P = measurePausePair(Seed + Rep, Scale);
+        gate::keepMin(BestStw, P.StwMs);
+        gate::keepMin(BestInc, P.MaxIncMs);
+        Steps = P.Steps;
+        if (P.StwMs > 0.0)
+          Ratios.push_back(P.MaxIncMs / P.StwMs);
+      },
+      [&] {
+        Ratio = gate::median(Ratios);
+        return Ratio <= 0.20 ? std::string()
+                             : gate::format("%.1f%%", Ratio * 100.0);
+      });
   std::printf("pauses at %u workers: stop-the-world best %.3f ms, max "
               "incremental best %.3f ms over %u steps, median paired "
               "ratio %.1f%% (gate %s: need <= 20%%)\n",
               StormPauseWorkers, BestStw, BestInc, Steps, Ratio * 100.0,
-              NoTimingGate ? "disarmed by flag" : "armed");
+              gate::armedLabel(Opt));
 
-  FILE *Out = std::fopen(OutPath.c_str(), "w");
-  if (!Out) {
-    std::fprintf(stderr, "cannot open %s\n", OutPath.c_str());
-    return 1;
-  }
+  FILE *Out = gate::openOut(Opt);
   JsonWriter W(Out);
-  W.openRoot();
-  W.key("bench");
-  W.value("pause");
-  W.key("seed");
-  W.value(Seed);
-  W.key("scale");
-  W.valueF(Scale, 3);
+  gate::writeHead(W, "pause", Opt);
   W.key("mark_budget");
-  W.value(MarkBudget);
-  W.key("digest");
-  W.valueHex(Stw.Digest);
-  W.key("counters");
-  W.openObject(JsonWriter::Style::Inline);
-  W.key("gc_count");
-  W.value(Stw.GcCount);
-  W.key("full_gc_count");
-  W.value(Stw.FullGcCount);
-  W.key("objects_allocated");
-  W.value(Stw.ObjectsAllocated);
-  W.key("bytes_allocated");
-  W.value(Stw.BytesAllocated);
-  W.key("objects_marked");
-  W.value(Stw.ObjectsMarked);
-  W.key("bytes_traced");
-  W.value(Stw.BytesTraced);
-  W.key("objects_evacuated");
-  W.value(Stw.ObjectsEvacuated);
-  W.key("failed_lines_dynamic");
-  W.value(Stw.FailedLinesDynamic);
-  W.close();
+  W.value(StormMarkBudget);
+  stormToJson(W, Stw);
   W.key("incremental");
   W.openObject(JsonWriter::Style::Inline);
   W.key("mark_increments");
@@ -255,16 +188,14 @@ int main(int argc, char **argv) {
   W.close();
   W.key("identical");
   W.value(Identical);
-  W.closeRoot();
-  std::fclose(Out);
-  std::printf("wrote %s\n", OutPath.c_str());
+  gate::finishOut(W, Out, Opt);
 
   if (!Identical) {
     std::fprintf(stderr, "FAIL: incremental marking changed the final "
                          "heap or a deterministic counter\n");
     return 2;
   }
-  if (!NoTimingGate && Ratio > 0.20) {
+  if (!Opt.NoTimingGate && Ratio > 0.20) {
     std::fprintf(stderr,
                  "FAIL: max incremental pause is %.1f%% of the "
                  "stop-the-world pause (need <= 20%%)\n",

@@ -38,25 +38,27 @@
 //     regression inflates every rep), re-measured up to two extra
 //     rounds; exit 3. --no-timing-gate disarms (sanitizers).
 //
+// --scale shrinks the storm and the pool legs' volume alike.
+//
 // The emitted BENCH_concurrent_mark.json contains only deterministic
-// values; wall times go to stdout. Exit 0 ok, 64 usage.
+// values; wall times go to stdout. Exit 0 ok; flags and usage errors:
+// bench/GateHarness.h.
 //
 //===----------------------------------------------------------------------===//
 
-#include "gc/HeapAuditor.h"
+#include "GateHarness.h"
+
 #include "support/JsonWriter.h"
-#include "workload/MutatorPool.h"
 #include "workload/Storm.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 using namespace wearmem;
+using gate::msSince;
 
 namespace {
 
@@ -76,79 +78,6 @@ constexpr unsigned WorkerCounts[] = {1, 2, 4, 8};
 constexpr unsigned NumWorkerCounts = 4;
 constexpr unsigned MutatorThreadCounts[] = {1, 2, 4};
 constexpr unsigned NumMutatorThreadCounts = 3;
-
-double msSince(std::chrono::steady_clock::time_point Start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - Start)
-      .count();
-}
-
-//===----------------------------------------------------------------------===//
-// Pool-level determinism legs: the marker thread vs OS-scheduled mutators
-//===----------------------------------------------------------------------===//
-
-struct PoolLeg {
-  bool Ok = false;
-  bool AuditPassed = false;
-  uint64_t Digest = 0;
-  uint64_t GcCount = 0;
-  uint64_t ObjectsAllocated = 0;
-  uint64_t SatbLogged = 0;
-  uint64_t SatbDrained = 0;
-};
-
-/// One MutatorPool leg: four lanes on \p Threads OS threads, cycles
-/// opened / paced / closed by the turn hook at fixed turn numbers (the
-/// lane turnstile makes turn numbers a virtual clock, so every mode and
-/// thread count sees the identical schedule; the stop-the-world mode
-/// takes a plain full collection at each close point). The heap is
-/// sized so the schedule's own collections keep pressure low and no
-/// allocation-triggered collection lands inside an open window.
-PoolLeg runPoolLeg(MarkPacing M, unsigned Threads, uint64_t Seed) {
-  constexpr unsigned Lanes = 4;
-  RuntimeConfig Config;
-  Config.Collector = CollectorKind::StickyImmix;
-  Config.HeapBytes = (8 * MiB) * Lanes;
-  Config.GcThreads = StormPauseWorkers;
-  Config.Pacing = M;
-  Runtime Rt(Config);
-
-  MutatorPoolOptions Opts;
-  Opts.Lanes = Lanes;
-  Opts.Threads = Threads;
-  Opts.Seed = Seed;
-  Opts.VolumeScale = 0.25;
-  MutatorPool Pool(Rt, *findProfile("luindex"), Opts);
-  Pool.setTurnHook([&Rt, M](unsigned, uint64_t Turn) {
-    if (Turn % 1024 == 0) {
-      if (M != MarkPacing::StopTheWorld && !Rt.incrementalCycleOpen())
-        Rt.beginIncrementalMarkCycle();
-    } else if (Turn % 1024 == 768) {
-      if (M == MarkPacing::StopTheWorld)
-        Rt.collect(true);
-      else if (Rt.incrementalCycleOpen())
-        Rt.finishIncrementalMarkCycle();
-    } else if (Turn % 128 == 64 && Rt.incrementalCycleOpen()) {
-      paceCycle(Rt.heap(), M);
-    }
-    return true;
-  });
-
-  PoolLeg R;
-  R.Ok = Pool.run();
-  if (Rt.incrementalCycleOpen())
-    Rt.finishIncrementalMarkCycle();
-  Rt.collect(true); // Settle at a common point.
-  HeapAuditor Auditor(Rt.heap());
-  R.AuditPassed = Auditor.audit().passed();
-  R.Digest = Auditor.digest(/*HashPayload=*/true);
-  const HeapStats &S = Rt.heap().stats();
-  R.GcCount = S.GcCount;
-  R.ObjectsAllocated = S.ObjectsAllocated;
-  R.SatbLogged = S.SatbLogged;
-  R.SatbDrained = S.SatbDrained;
-  return R;
-}
 
 //===----------------------------------------------------------------------===//
 // Timing legs: pause bound and mutator-attributed mark time
@@ -176,19 +105,18 @@ constexpr unsigned TimingOpsPerBatch = 5000;
 /// drains the frontier, so the mutator-side bill shrinks to the open,
 /// the flush handshakes, and whatever the close still has to drain.
 /// The interleaved leg pays for the whole trace on the mutator.
-TimingPair measureTimingPair(uint64_t Seed, double Scale,
-                             unsigned MarkBudget) {
+TimingPair measureTimingPair(uint64_t Seed, double Scale) {
   TimingPair P;
   unsigned ListLen = static_cast<unsigned>(12000 * Scale);
   {
-    Heap Hp(stormPauseConfig(MarkPacing::StopTheWorld, MarkBudget));
+    Heap Hp(stormPauseConfig(MarkPacing::StopTheWorld));
     buildLists(Hp, 4, ListLen, Seed);
     auto T0 = std::chrono::steady_clock::now();
     Hp.collect(CollectionKind::Full);
     P.StwMs = msSince(T0);
   }
   for (MarkPacing M : {MarkPacing::Incremental, MarkPacing::Concurrent}) {
-    Heap Hp(stormPauseConfig(M, MarkBudget));
+    Heap Hp(stormPauseConfig(M));
     std::vector<unsigned> Heads = buildLists(Hp, 4, ListLen, Seed);
     double MutMs = 0.0, MaxPauseMs = 0.0;
     auto Timed = [&](auto &&Fn) {
@@ -227,43 +155,18 @@ TimingPair measureTimingPair(uint64_t Seed, double Scale,
 } // namespace
 
 int main(int argc, char **argv) {
-  uint64_t Seed = 42;
-  double Scale = 1.0;
-  unsigned Reps = 5;
-  unsigned MarkBudget = 512;
-  bool NoTimingGate = false;
-  std::string OutPath = "BENCH_concurrent_mark.json";
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--seed") == 0 && I + 1 < argc)
-      Seed = std::strtoull(argv[++I], nullptr, 10);
-    else if (std::strcmp(argv[I], "--scale") == 0 && I + 1 < argc)
-      Scale = std::atof(argv[++I]);
-    else if (std::strcmp(argv[I], "--reps") == 0 && I + 1 < argc)
-      Reps = static_cast<unsigned>(std::strtoul(argv[++I], nullptr, 10));
-    else if (std::strcmp(argv[I], "--mark-budget") == 0 && I + 1 < argc)
-      MarkBudget =
-          static_cast<unsigned>(std::strtoul(argv[++I], nullptr, 10));
-    else if (std::strcmp(argv[I], "--out") == 0 && I + 1 < argc)
-      OutPath = argv[++I];
-    else if (std::strcmp(argv[I], "--no-timing-gate") == 0)
-      NoTimingGate = true;
-    else {
-      std::fprintf(stderr,
-                   "usage: %s [--seed N] [--scale F] [--reps N] "
-                   "[--mark-budget N] [--no-timing-gate] [--out FILE]\n",
-                   argv[0]);
-      return 64;
-    }
-  }
-  if (Reps == 0)
-    Reps = 1;
+  const gate::Options Opt = gate::parseArgs(
+      argc, argv, "concurrent_mark", gate::TakesScale | gate::Timed, 5);
+  const uint64_t Seed = Opt.Seed;
+  const double Scale = Opt.Scale;
 
   // Heap-level determinism: the stop-the-world reference leg, then both
   // marking pacings at every worker count. The SATB ledger must also
   // agree between the marking legs (with identical open/close points it
   // is a pure function of the mutation history).
-  StormResult Stw = runStormLeg(MarkPacing::StopTheWorld, 1, MarkBudget,
-                                Seed, Scale, /*MidCycleFailure=*/true);
+  StormResult Stw = runStormLeg(MarkPacing::StopTheWorld, 1,
+                                StormMarkBudget, Seed, Scale,
+                                /*MidCycleFailure=*/true);
   bool Identical = Stw.AuditPassed;
   if (!Stw.AuditPassed)
     std::printf("AUDIT FAILED: stop-the-world leg\n");
@@ -271,8 +174,8 @@ int main(int argc, char **argv) {
   bool HaveMarkingFirst = false;
   for (MarkPacing M : {MarkPacing::Incremental, MarkPacing::Concurrent}) {
     for (unsigned C = 0; C != NumWorkerCounts; ++C) {
-      StormResult Leg = runStormLeg(M, WorkerCounts[C], MarkBudget, Seed,
-                                    Scale, /*MidCycleFailure=*/true);
+      StormResult Leg = runStormLeg(M, WorkerCounts[C], StormMarkBudget,
+                                    Seed, Scale, /*MidCycleFailure=*/true);
       if (!Leg.AuditPassed) {
         Identical = false;
         std::printf("AUDIT FAILED: %s leg, %u workers\n", pacingName(M),
@@ -309,13 +212,14 @@ int main(int argc, char **argv) {
   // equal across all modes. Allocate-black floating garbage exempts the
   // stop-the-world *digest* from cross-mode comparison (see header).
   bool PoolIdentical = true;
-  PoolLeg ModeRef[3];
+  PoolLegResult ModeRef[3];
   bool HaveModeRef[3] = {false, false, false};
   for (MarkPacing M : {MarkPacing::StopTheWorld, MarkPacing::Incremental,
                        MarkPacing::Concurrent}) {
     unsigned MI = static_cast<unsigned>(M);
     for (unsigned C = 0; C != NumMutatorThreadCounts; ++C) {
-      PoolLeg Leg = runPoolLeg(M, MutatorThreadCounts[C], Seed);
+      PoolLegResult Leg =
+          runPoolLeg(M, MutatorThreadCounts[C], Seed, 0.25 * Scale);
       if (!Leg.Ok || !Leg.AuditPassed) {
         PoolIdentical = false;
         std::printf("POOL LEG FAILED: %s, %u threads (run %d, audit "
@@ -350,11 +254,11 @@ int main(int argc, char **argv) {
       }
     }
   }
-  const PoolLeg &PoolStw =
+  const PoolLegResult &PoolStw =
       ModeRef[static_cast<unsigned>(MarkPacing::StopTheWorld)];
-  const PoolLeg &PoolInter =
+  const PoolLegResult &PoolInter =
       ModeRef[static_cast<unsigned>(MarkPacing::Incremental)];
-  const PoolLeg &PoolConc =
+  const PoolLegResult &PoolConc =
       ModeRef[static_cast<unsigned>(MarkPacing::Concurrent)];
   if (PoolInter.Digest != PoolConc.Digest ||
       PoolInter.SatbLogged != PoolConc.SatbLogged) {
@@ -386,89 +290,49 @@ int main(int argc, char **argv) {
   // machinery can do, while a genuine regression (a close that always
   // retraces, a handshake that ballooned) inflates every rep, best
   // included.
-  measureTimingPair(Seed, Scale, MarkBudget); // Warm the pools.
   double PauseRatio = 0.0, MarkRatio = 0.0;
+  double RoundPause = -1.0, RoundMark = -1.0;
   double BestStw = -1.0, BestConcPause = -1.0;
   double BestInterMut = -1.0, BestConcMut = -1.0;
-  constexpr unsigned MaxRounds = 3;
-  for (unsigned Round = 0; Round != MaxRounds; ++Round) {
-    double RoundPause = -1.0, RoundMark = -1.0;
-    for (unsigned Rep = 0; Rep != Reps; ++Rep) {
-      TimingPair P = measureTimingPair(Seed + Rep, Scale, MarkBudget);
-      if (BestStw < 0.0 || P.StwMs < BestStw)
-        BestStw = P.StwMs;
-      if (BestConcPause < 0.0 || P.ConcMaxPauseMs < BestConcPause)
-        BestConcPause = P.ConcMaxPauseMs;
-      if (BestInterMut < 0.0 || P.InterMutMs < BestInterMut)
-        BestInterMut = P.InterMutMs;
-      if (BestConcMut < 0.0 || P.ConcMutMs < BestConcMut)
-        BestConcMut = P.ConcMutMs;
-      if (P.StwMs > 0.0) {
-        double R = P.ConcMaxPauseMs / P.StwMs;
-        if (RoundPause < 0.0 || R < RoundPause)
-          RoundPause = R;
-      }
-      if (P.InterMutMs > 0.0) {
-        double R = P.ConcMutMs / P.InterMutMs;
-        if (RoundMark < 0.0 || R < RoundMark)
-          RoundMark = R;
-      }
-    }
-    PauseRatio = RoundPause < 0.0 ? 0.0 : RoundPause;
-    MarkRatio = RoundMark < 0.0 ? 0.0 : RoundMark;
-    if (NoTimingGate || (PauseRatio <= 0.20 && MarkRatio < 0.50))
-      break;
-    std::printf("round %u over threshold (pause %.1f%%, mark %.1f%%), "
-                "re-measuring\n",
-                Round + 1, PauseRatio * 100.0, MarkRatio * 100.0);
-  }
+  gate::measureRounds(
+      Opt, [&] { measureTimingPair(Seed, Scale); }, // Warm the pools.
+      [&](unsigned Rep) {
+        TimingPair P = measureTimingPair(Seed + Rep, Scale);
+        gate::keepMin(BestStw, P.StwMs);
+        gate::keepMin(BestConcPause, P.ConcMaxPauseMs);
+        gate::keepMin(BestInterMut, P.InterMutMs);
+        gate::keepMin(BestConcMut, P.ConcMutMs);
+        if (P.StwMs > 0.0)
+          gate::keepMin(RoundPause, P.ConcMaxPauseMs / P.StwMs);
+        if (P.InterMutMs > 0.0)
+          gate::keepMin(RoundMark, P.ConcMutMs / P.InterMutMs);
+      },
+      [&] {
+        PauseRatio = RoundPause < 0.0 ? 0.0 : RoundPause;
+        MarkRatio = RoundMark < 0.0 ? 0.0 : RoundMark;
+        RoundPause = RoundMark = -1.0; // Each round stands alone.
+        if (PauseRatio <= 0.20 && MarkRatio < 0.50)
+          return std::string();
+        return gate::format("pause %.1f%%, mark %.1f%%", PauseRatio * 100.0,
+                            MarkRatio * 100.0);
+      });
   std::printf("pauses at %u workers: stop-the-world best %.3f ms, max "
               "concurrent mutator pause best %.3f ms, best paired "
               "ratio %.1f%% (gate %s: need <= 20%%)\n",
               StormPauseWorkers, BestStw, BestConcPause, PauseRatio * 100.0,
-              NoTimingGate ? "disarmed by flag" : "armed");
+              gate::armedLabel(Opt));
   std::printf("mutator-attributed mark time: interleaved best %.3f ms, "
               "concurrent best %.3f ms, best paired ratio %.1f%% "
               "(gate %s: need < 50%%)\n",
               BestInterMut, BestConcMut, MarkRatio * 100.0,
-              NoTimingGate ? "disarmed by flag" : "armed");
+              gate::armedLabel(Opt));
 
-  FILE *Out = std::fopen(OutPath.c_str(), "w");
-  if (!Out) {
-    std::fprintf(stderr, "cannot open %s\n", OutPath.c_str());
-    return 1;
-  }
+  FILE *Out = gate::openOut(Opt);
   JsonWriter W(Out);
-  W.openRoot();
-  W.key("bench");
-  W.value("concurrent_mark");
-  W.key("seed");
-  W.value(Seed);
-  W.key("scale");
-  W.valueF(Scale, 3);
+  gate::writeHead(W, "concurrent_mark", Opt);
   W.key("mark_budget");
-  W.value(MarkBudget);
-  W.key("digest");
-  W.valueHex(Stw.Digest);
-  W.key("counters");
-  W.openObject(JsonWriter::Style::Inline);
-  W.key("gc_count");
-  W.value(Stw.GcCount);
-  W.key("full_gc_count");
-  W.value(Stw.FullGcCount);
-  W.key("objects_allocated");
-  W.value(Stw.ObjectsAllocated);
-  W.key("bytes_allocated");
-  W.value(Stw.BytesAllocated);
-  W.key("objects_marked");
-  W.value(Stw.ObjectsMarked);
-  W.key("bytes_traced");
-  W.value(Stw.BytesTraced);
-  W.key("objects_evacuated");
-  W.value(Stw.ObjectsEvacuated);
-  W.key("failed_lines_dynamic");
-  W.value(Stw.FailedLinesDynamic);
-  W.close();
+  W.value(StormMarkBudget);
+  stormToJson(W, Stw);
   W.key("satb");
   W.openObject(JsonWriter::Style::Inline);
   W.key("logged");
@@ -493,16 +357,14 @@ int main(int argc, char **argv) {
   W.value(Identical);
   W.key("pool_identical");
   W.value(PoolIdentical);
-  W.closeRoot();
-  std::fclose(Out);
-  std::printf("wrote %s\n", OutPath.c_str());
+  gate::finishOut(W, Out, Opt);
 
   if (!Identical || !PoolIdentical) {
     std::fprintf(stderr, "FAIL: concurrent marking changed the final "
                          "heap or a deterministic counter\n");
     return 2;
   }
-  if (!NoTimingGate && (PauseRatio > 0.20 || MarkRatio >= 0.50)) {
+  if (!Opt.NoTimingGate && (PauseRatio > 0.20 || MarkRatio >= 0.50)) {
     std::fprintf(stderr,
                  "FAIL: pause ratio %.1f%% (need <= 20%%), "
                  "mutator-attributed mark ratio %.1f%% (need < 50%%)\n",

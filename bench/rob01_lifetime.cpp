@@ -38,19 +38,18 @@
 // collector; the gate's claim about them is only that the death is
 // diagnosed, which is precisely the robustness contract under test.
 //
-// Exit codes: 0 ok, 1 usage, 2 undiagnosed fail-stop, 3 non-monotone
-// degradation, 4 determinism mismatch, 5 ladder never exercised.
+// Exit codes: 0 ok, 2 undiagnosed fail-stop, 3 non-monotone
+// degradation, 4 determinism mismatch, 5 ladder never exercised (flags
+// and usage errors: bench/GateHarness.h).
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/CliArgs.h"
+#include "GateHarness.h"
+
 #include "support/JsonWriter.h"
 #include "workload/Lifetime.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 #include <vector>
 
 using namespace wearmem;
@@ -121,24 +120,10 @@ DegradationMode maxMode(const LifetimeResult &R) {
 } // namespace
 
 int main(int argc, char **argv) {
-  uint64_t Seed = 42;
-  std::string OutPath = "BENCH_lifetime.json";
-  double Scale = 1.0;
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--seed") == 0 && I + 1 < argc)
-      Seed = std::strtoull(argv[++I], nullptr, 10);
-    else if (std::strcmp(argv[I], "--out") == 0 && I + 1 < argc)
-      OutPath = argv[++I];
-    else if (std::strcmp(argv[I], "--scale") == 0 && I + 1 < argc)
-      Scale = std::atof(argv[++I]);
-    else {
-      std::fprintf(stderr, "usage: %s [--seed N] [--out FILE] [--scale F]\n",
-                   argv[0]);
-      return 1;
-    }
-  }
-  if (Scale <= 0.0)
-    Scale = 1.0;
+  const gate::Options Opt =
+      gate::parseArgs(argc, argv, "lifetime", gate::TakesScale);
+  const uint64_t Seed = Opt.Seed;
+  const double Scale = Opt.Scale;
 
   const Profile *P = findProfile("luindex");
 
@@ -187,19 +172,9 @@ int main(int argc, char **argv) {
   // Deterministic JSON: survival curves, milestones and transition logs
   // only, fixed field order. Same seed => byte-identical file; CI runs
   // the gate twice and diffs.
-  FILE *Out = std::fopen(OutPath.c_str(), "w");
-  if (!Out) {
-    std::fprintf(stderr, "cannot open %s\n", OutPath.c_str());
-    return 1;
-  }
+  FILE *Out = gate::openOut(Opt);
   JsonWriter W(Out);
-  W.openRoot();
-  W.key("bench");
-  W.value("rob01_lifetime");
-  W.key("seed");
-  W.value(Seed);
-  W.key("scale");
-  W.valueF(Scale, 3);
+  gate::writeHead(W, "rob01_lifetime", Opt);
   W.key("cells");
   W.openArray(JsonWriter::Style::Line);
   for (size_t I = 0; I != Cells.size(); ++I)
@@ -218,9 +193,7 @@ int main(int argc, char **argv) {
   W.key("ladder_exercised");
   W.value(LadderExercised);
   W.close();
-  W.closeRoot();
-  std::fclose(Out);
-  std::printf("wrote %s\n", OutPath.c_str());
+  gate::finishOut(W, Out, Opt);
 
   if (Undiagnosed) {
     std::printf("GATE FAILED: %u undiagnosed fail-stop(s)\n", Undiagnosed);

@@ -32,19 +32,18 @@
 //     is enforced in leg 1's domain by tests/ServeTest.cpp.
 //
 // The emitted BENCH_serve.json contains only deterministic values; wall
-// latencies go to stdout. Exit 0 ok, 64 usage.
+// latencies go to stdout. Exit 0 ok; flags and usage errors:
+// bench/GateHarness.h.
 //
 //===----------------------------------------------------------------------===//
+
+#include "GateHarness.h"
 
 #include "serve/Service.h"
 #include "support/JsonWriter.h"
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
-#include <vector>
 
 using namespace wearmem;
 
@@ -190,32 +189,10 @@ ServeOptions quotaOptions(uint64_t Seed, double Scale, QuotaPolicy Policy) {
 } // namespace
 
 int main(int argc, char **argv) {
-  uint64_t Seed = 42;
-  double Scale = 1.0;
-  unsigned Reps = 3;
-  bool NoTimingGate = false;
-  std::string OutPath = "BENCH_serve.json";
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--seed") == 0 && I + 1 < argc)
-      Seed = std::strtoull(argv[++I], nullptr, 10);
-    else if (std::strcmp(argv[I], "--scale") == 0 && I + 1 < argc)
-      Scale = std::atof(argv[++I]);
-    else if (std::strcmp(argv[I], "--reps") == 0 && I + 1 < argc)
-      Reps = static_cast<unsigned>(std::strtoul(argv[++I], nullptr, 10));
-    else if (std::strcmp(argv[I], "--out") == 0 && I + 1 < argc)
-      OutPath = argv[++I];
-    else if (std::strcmp(argv[I], "--no-timing-gate") == 0)
-      NoTimingGate = true;
-    else {
-      std::fprintf(stderr,
-                   "usage: %s [--seed N] [--scale F] [--reps N] "
-                   "[--no-timing-gate] [--out FILE]\n",
-                   argv[0]);
-      return 64;
-    }
-  }
-  if (Reps == 0)
-    Reps = 1;
+  const gate::Options Opt = gate::parseArgs(
+      argc, argv, "serve", gate::TakesScale | gate::Timed, 3);
+  const uint64_t Seed = Opt.Seed;
+  const double Scale = Opt.Scale;
 
   // Determinism matrix: per policy, the canonical (forward, 1 GC
   // worker) leg against every scan order, every GC worker count, and an
@@ -303,63 +280,47 @@ int main(int argc, char **argv) {
               (unsigned long long)QuotaRejects[1]);
 
   // Noisy-neighbor SLO: best (minimum) paired ratio of the quiet
-  // tenant's wall p99 against its quiet-neighbor baseline, per round,
-  // up to two re-measure rounds. Noise (CPU contention from the
-  // neighbor's recovery collections landing between requests) only
-  // inflates the noisy leg; a real isolation hole - storm work billed
-  // synchronously to the victim's serve path - inflates every rep.
+  // tenant's wall p99 against its quiet-neighbor baseline, per round.
+  // Noise (CPU contention from the neighbor's recovery collections
+  // landing between requests) only inflates the noisy leg; a real
+  // isolation hole - storm work billed synchronously to the victim's
+  // serve path - inflates every rep.
   constexpr double SloBound = 4.0;
-  double SloRatio = 0.0;
+  double SloRatio = 0.0, RoundRatio = -1.0;
   double BestQuietP99 = -1.0, BestNoisyP99 = -1.0;
-  constexpr unsigned MaxRounds = 3;
-  for (unsigned Round = 0; Round != MaxRounds; ++Round) {
-    double RoundRatio = -1.0;
-    for (unsigned Rep = 0; Rep != Reps; ++Rep) {
-      ServeResult Quiet =
-          runServe(sloOptions(Seed + Rep, Scale, /*Noisy=*/false));
-      ServeResult Noisy =
-          runServe(sloOptions(Seed + Rep, Scale, /*Noisy=*/true));
-      if (!Quiet.ConfigOk || !Noisy.ConfigOk || Quiet.Tenants.empty() ||
-          Noisy.Tenants.empty())
-        continue;
-      double QuietP99 = Quiet.Tenants[0].Wall.P99Us;
-      double NoisyP99 = Noisy.Tenants[0].Wall.P99Us;
-      if (BestQuietP99 < 0.0 || QuietP99 < BestQuietP99)
-        BestQuietP99 = QuietP99;
-      if (BestNoisyP99 < 0.0 || NoisyP99 < BestNoisyP99)
-        BestNoisyP99 = NoisyP99;
-      if (QuietP99 > 0.0) {
-        double R = NoisyP99 / QuietP99;
-        if (RoundRatio < 0.0 || R < RoundRatio)
-          RoundRatio = R;
-      }
-    }
-    SloRatio = RoundRatio < 0.0 ? 0.0 : RoundRatio;
-    if (NoTimingGate || SloRatio <= SloBound)
-      break;
-    std::printf("round %u over threshold (quiet-tenant p99 ratio "
-                "%.2fx), re-measuring\n",
-                Round + 1, SloRatio);
-  }
+  gate::measureRounds(
+      Opt, [] {}, // No warm-up: every runServe builds its fleet afresh.
+      [&](unsigned Rep) {
+        ServeResult Quiet =
+            runServe(sloOptions(Seed + Rep, Scale, /*Noisy=*/false));
+        ServeResult Noisy =
+            runServe(sloOptions(Seed + Rep, Scale, /*Noisy=*/true));
+        if (!Quiet.ConfigOk || !Noisy.ConfigOk || Quiet.Tenants.empty() ||
+            Noisy.Tenants.empty())
+          return;
+        double QuietP99 = Quiet.Tenants[0].Wall.P99Us;
+        double NoisyP99 = Noisy.Tenants[0].Wall.P99Us;
+        gate::keepMin(BestQuietP99, QuietP99);
+        gate::keepMin(BestNoisyP99, NoisyP99);
+        if (QuietP99 > 0.0)
+          gate::keepMin(RoundRatio, NoisyP99 / QuietP99);
+      },
+      [&] {
+        SloRatio = RoundRatio < 0.0 ? 0.0 : RoundRatio;
+        RoundRatio = -1.0; // Each round stands alone.
+        return SloRatio <= SloBound
+                   ? std::string()
+                   : gate::format("quiet-tenant p99 ratio %.2fx", SloRatio);
+      });
   std::printf("noisy-neighbor SLO: quiet tenant wall p99 %.1f us alone, "
               "%.1f us beside the storm, best paired ratio %.2fx (gate "
               "%s: need <= %.1fx)\n",
-              BestQuietP99, BestNoisyP99, SloRatio,
-              NoTimingGate ? "disarmed by flag" : "armed", SloBound);
+              BestQuietP99, BestNoisyP99, SloRatio, gate::armedLabel(Opt),
+              SloBound);
 
-  FILE *Out = std::fopen(OutPath.c_str(), "w");
-  if (!Out) {
-    std::fprintf(stderr, "cannot open %s\n", OutPath.c_str());
-    return 1;
-  }
+  FILE *Out = gate::openOut(Opt);
   JsonWriter W(Out);
-  W.openRoot();
-  W.key("bench");
-  W.value("serve_multitenant");
-  W.key("seed");
-  W.value(Seed);
-  W.key("scale");
-  W.valueF(Scale, 3);
+  gate::writeHead(W, "serve_multitenant", Opt);
   for (unsigned PI = 0; PI != 2; ++PI) {
     const ServeResult &R = PI == 0 ? Static : Demand;
     W.key(PI == 0 ? "static" : "demand");
@@ -420,9 +381,7 @@ int main(int argc, char **argv) {
   W.close();
   W.key("identical");
   W.value(Identical);
-  W.closeRoot();
-  std::fclose(Out);
-  std::printf("wrote %s\n", OutPath.c_str());
+  gate::finishOut(W, Out, Opt);
 
   if (!Identical) {
     std::fprintf(stderr,
@@ -430,7 +389,7 @@ int main(int argc, char **argv) {
                  "the quota arbiter changed a deterministic output\n");
     return 2;
   }
-  if (!NoTimingGate && SloRatio > SloBound) {
+  if (!Opt.NoTimingGate && SloRatio > SloBound) {
     std::fprintf(stderr,
                  "FAIL: noisy neighbor raised the quiet tenant's wall "
                  "p99 by %.2fx (need <= %.1fx)\n",

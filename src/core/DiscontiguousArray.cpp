@@ -25,11 +25,6 @@ SpineInfo &spineInfo(ObjRef Spine) {
   return *reinterpret_cast<SpineInfo *>(objectPayload(Spine));
 }
 
-const SpineInfo &spineInfo(const uint8_t *Spine) {
-  return *reinterpret_cast<const SpineInfo *>(
-      objectPayload(const_cast<ObjRef>(Spine)));
-}
-
 } // namespace
 
 size_t wearmem::maxDiscontiguousArrayBytes(const Runtime &Rt,

@@ -7,7 +7,10 @@
 
 #include "workload/Storm.h"
 
+#include "core/Runtime.h"
 #include "gc/HeapAuditor.h"
+#include "support/JsonWriter.h"
+#include "workload/MutatorPool.h"
 
 using namespace wearmem;
 
@@ -25,14 +28,13 @@ HeapConfig wearmem::stormConfig(MarkPacing Pacing, unsigned GcThreads,
   return Config;
 }
 
-HeapConfig wearmem::stormPauseConfig(MarkPacing Pacing,
-                                     unsigned MarkBudget) {
+HeapConfig wearmem::stormPauseConfig(MarkPacing Pacing) {
   HeapConfig Config;
   Config.Collector = CollectorKind::StickyImmix;
   Config.BudgetPages = (48 * MiB) / PcmPageSize;
   Config.GcThreads = StormPauseWorkers;
   Config.Pacing = Pacing;
-  Config.MarkBudget = MarkBudget;
+  Config.MarkBudget = StormMarkBudget;
   return Config;
 }
 
@@ -159,6 +161,77 @@ StormResult wearmem::runStormLeg(MarkPacing Pacing, unsigned GcThreads,
   R.FailedLinesDynamic = S.FailedLinesDynamic;
   R.PinnedFailurePageRemaps = S.PinnedFailurePageRemaps;
   R.MarkIncrements = S.MarkIncrements;
+  R.SatbLogged = S.SatbLogged;
+  R.SatbDrained = S.SatbDrained;
+  return R;
+}
+
+void wearmem::stormToJson(JsonWriter &W, const StormResult &R) {
+  W.key("digest");
+  W.valueHex(R.Digest);
+  W.key("counters");
+  W.openObject(JsonWriter::Style::Inline);
+  W.key("gc_count");
+  W.value(R.GcCount);
+  W.key("full_gc_count");
+  W.value(R.FullGcCount);
+  W.key("objects_allocated");
+  W.value(R.ObjectsAllocated);
+  W.key("bytes_allocated");
+  W.value(R.BytesAllocated);
+  W.key("objects_marked");
+  W.value(R.ObjectsMarked);
+  W.key("bytes_traced");
+  W.value(R.BytesTraced);
+  W.key("objects_evacuated");
+  W.value(R.ObjectsEvacuated);
+  W.key("failed_lines_dynamic");
+  W.value(R.FailedLinesDynamic);
+  W.close();
+}
+
+PoolLegResult wearmem::runPoolLeg(MarkPacing Pacing, unsigned Threads,
+                                  uint64_t Seed, double VolumeScale) {
+  constexpr unsigned Lanes = 4;
+  RuntimeConfig Config;
+  Config.Collector = CollectorKind::StickyImmix;
+  Config.HeapBytes = (8 * MiB) * Lanes;
+  Config.GcThreads = StormPauseWorkers;
+  Config.Pacing = Pacing;
+  Runtime Rt(Config);
+
+  MutatorPoolOptions Opts;
+  Opts.Lanes = Lanes;
+  Opts.Threads = Threads;
+  Opts.Seed = Seed;
+  Opts.VolumeScale = VolumeScale;
+  MutatorPool Pool(Rt, *findProfile("luindex"), Opts);
+  Pool.setTurnHook([&Rt, Pacing](unsigned, uint64_t Turn) {
+    if (Turn % 1024 == 0) {
+      if (Pacing != MarkPacing::StopTheWorld && !Rt.incrementalCycleOpen())
+        Rt.beginIncrementalMarkCycle();
+    } else if (Turn % 1024 == 768) {
+      if (Pacing == MarkPacing::StopTheWorld)
+        Rt.collect(true);
+      else if (Rt.incrementalCycleOpen())
+        Rt.finishIncrementalMarkCycle();
+    } else if (Turn % 128 == 64 && Rt.incrementalCycleOpen()) {
+      paceCycle(Rt.heap(), Pacing);
+    }
+    return true;
+  });
+
+  PoolLegResult R;
+  R.Ok = Pool.run();
+  if (Rt.incrementalCycleOpen())
+    Rt.finishIncrementalMarkCycle();
+  Rt.collect(true); // Settle at a common point.
+  HeapAuditor Auditor(Rt.heap());
+  R.AuditPassed = Auditor.audit().passed();
+  R.Digest = Auditor.digest(/*HashPayload=*/true);
+  const HeapStats &S = Rt.heap().stats();
+  R.GcCount = S.GcCount;
+  R.ObjectsAllocated = S.ObjectsAllocated;
   R.SatbLogged = S.SatbLogged;
   R.SatbDrained = S.SatbDrained;
   return R;

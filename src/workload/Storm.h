@@ -21,6 +21,10 @@
 /// the stop-the-world leg injects the failure right after its
 /// collection, which is where the marking legs drain it.
 ///
+/// A pool leg drives the same pacings through a multi-threaded
+/// MutatorPool instead, with cycle points on the lane turnstile's turn
+/// numbers, so OS scheduling and the marker thread must be invisible.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef WEARMEM_WORKLOAD_STORM_H
@@ -34,6 +38,8 @@
 
 namespace wearmem {
 
+class JsonWriter;
+
 /// The storm legs' heap: sticky Immix in 32 MiB, 2% failed lines,
 /// defragmentation at 35% free.
 HeapConfig stormConfig(MarkPacing Pacing, unsigned GcThreads,
@@ -42,10 +48,14 @@ HeapConfig stormConfig(MarkPacing Pacing, unsigned GcThreads,
 /// GC workers of the gates' pause measurements (their SLOs' "4 lanes").
 constexpr unsigned StormPauseWorkers = 4;
 
-/// The gates' pause-measurement heap: sticky Immix in 48 MiB with no
-/// failed lines, so a pause comparison measures marking and its sweep
-/// tail, not failure recovery.
-HeapConfig stormPauseConfig(MarkPacing Pacing, unsigned MarkBudget);
+/// The gates' mark budget: objects traced per budgeted step.
+constexpr unsigned StormMarkBudget = 512;
+
+/// The gates' pause-measurement heap: sticky Immix in 48 MiB on
+/// StormPauseWorkers GC workers with StormMarkBudget, and no failed
+/// lines, so a pause comparison measures marking and its sweep tail,
+/// not failure recovery.
+HeapConfig stormPauseConfig(MarkPacing Pacing);
 
 /// Builds \p NumLists rooted linked lists (slot 0 = next, slot 1 = a
 /// cross link) and returns the head root indices. Every fourth node
@@ -101,6 +111,34 @@ struct StormResult {
 StormResult runStormLeg(MarkPacing Pacing, unsigned GcThreads,
                         unsigned MarkBudget, uint64_t Seed, double Scale,
                         bool MidCycleFailure);
+
+/// Writes \p R's "digest" and deterministic "counters" fields.
+void stormToJson(JsonWriter &W, const StormResult &R);
+
+/// What a pool leg reports: the run and audit verdicts, the digest, and
+/// the counters its callers compare across thread counts and pacings.
+struct PoolLegResult {
+  bool Ok = false;
+  bool AuditPassed = false;
+  uint64_t Digest = 0;
+  uint64_t GcCount = 0;
+  uint64_t ObjectsAllocated = 0;
+  uint64_t SatbLogged = 0;
+  uint64_t SatbDrained = 0;
+};
+
+/// Runs one multi-threaded pool leg: four luindex lanes at
+/// \p VolumeScale on \p Threads OS threads, StormPauseWorkers GC
+/// workers, with cycles opened / paced / closed by the turn hook at
+/// fixed turn numbers (open at 0 mod 1024, pace every 128 turns while
+/// open, close at 768 mod 1024). The lane turnstile makes turn numbers a
+/// virtual clock, so every pacing and thread count sees the identical
+/// schedule; StopTheWorld takes a plain full collection at each close
+/// point. The heap is sized so the schedule's own collections keep
+/// pressure low and no allocation-triggered collection lands inside an
+/// open window. Ends with a settling full collection, then audits.
+PoolLegResult runPoolLeg(MarkPacing Pacing, unsigned Threads, uint64_t Seed,
+                         double VolumeScale);
 
 /// Lists the fields every pacing must agree on - the digest and every
 /// counter but the cycle internals - that differ between \p A and

@@ -217,50 +217,21 @@ TEST(ConcurrentMarkTest, PoolDigestIsBitIdenticalAcrossMutatorThreads) {
   // the marker thread's free-running schedule must be invisible: any
   // OS interleaving of mutator threads and the marker yields the same
   // final heap.
-  constexpr unsigned Lanes = 4;
-  uint64_t Digests[3] = {};
-  uint64_t GcCounts[3] = {};
-  uint64_t SatbLogged[3] = {};
-  unsigned Idx = 0;
-  for (unsigned Threads : {1u, 2u, 4u}) {
-    Runtime Rt(poolConfig(Lanes));
-    MutatorPoolOptions Opts;
-    Opts.Lanes = Lanes;
-    Opts.Threads = Threads;
-    Opts.Seed = 99;
-    Opts.VolumeScale = 0.25;
-    MutatorPool Pool(Rt, *findProfile("luindex"), Opts);
-    Pool.setTurnHook([&Rt](unsigned, uint64_t Turn) {
-      // A fixed virtual-time schedule: open at 0 mod 1024, flush every
-      // 128 turns while open, close at 768 mod 1024.
-      if (Turn % 1024 == 0 && !Rt.incrementalCycleOpen())
-        Rt.beginIncrementalMarkCycle();
-      else if (Turn % 1024 == 768 && Rt.incrementalCycleOpen())
-        Rt.finishIncrementalMarkCycle();
-      else if (Turn % 128 == 64 && Rt.incrementalCycleOpen())
-        Rt.satbFlushHandshake();
-      return true;
-    });
-    ASSERT_TRUE(Pool.run());
-    if (Rt.incrementalCycleOpen())
-      Rt.finishIncrementalMarkCycle();
-    Rt.collect(true);
-    HeapAuditor Auditor(Rt.heap());
-    EXPECT_TRUE(Auditor.audit().passed());
-    Digests[Idx] = Auditor.digest(/*HashPayload=*/true);
-    GcCounts[Idx] = Rt.stats().GcCount;
-    SatbLogged[Idx] = Rt.heap().stats().SatbLogged;
-    EXPECT_EQ(Rt.heap().stats().SatbDrained,
-              Rt.heap().stats().SatbLogged);
-    ++Idx;
+  const unsigned Threads[3] = {1, 2, 4};
+  PoolLegResult Legs[3];
+  for (unsigned I = 0; I != 3; ++I) {
+    Legs[I] = runPoolLeg(MarkPacing::Concurrent, Threads[I], /*Seed=*/99,
+                         /*VolumeScale=*/0.25);
+    ASSERT_TRUE(Legs[I].Ok);
+    EXPECT_TRUE(Legs[I].AuditPassed);
+    EXPECT_EQ(Legs[I].SatbDrained, Legs[I].SatbLogged);
   }
-  EXPECT_EQ(Digests[0], Digests[1]);
-  EXPECT_EQ(Digests[0], Digests[2]);
-  EXPECT_EQ(GcCounts[0], GcCounts[1]);
-  EXPECT_EQ(GcCounts[0], GcCounts[2]);
-  EXPECT_EQ(SatbLogged[0], SatbLogged[1]);
-  EXPECT_EQ(SatbLogged[0], SatbLogged[2]);
-  EXPECT_GT(SatbLogged[0], 0u) << "the pool must exercise the barrier";
+  for (unsigned I : {1u, 2u}) {
+    EXPECT_EQ(Legs[0].Digest, Legs[I].Digest);
+    EXPECT_EQ(Legs[0].GcCount, Legs[I].GcCount);
+    EXPECT_EQ(Legs[0].SatbLogged, Legs[I].SatbLogged);
+  }
+  EXPECT_GT(Legs[0].SatbLogged, 0u) << "the pool must exercise the barrier";
 }
 
 TEST(ConcurrentMarkTest, FlushHandshakeStormIsWatchdogClean) {

@@ -5,14 +5,17 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Executes the real wearmem_run / wearmem_soak binaries (paths injected
-// at compile time) and pins their command-line contract:
+// Executes the real wearmem_run / wearmem_soak / wearmem_serve tools and
+// the seven gate binaries (paths injected at compile time) and pins
+// their command-line contract:
 //
-//  - --help exits 0 and its flag table matches the declared flag set
-//    exactly, both ways - a flag added to a parser without a help line,
-//    or a help line for a flag the parser dropped, fails here;
+//  - a tool's --help exits 0 and its flag table matches the declared
+//    flag set exactly, both ways - a flag added to a parser without a
+//    help line, or a help line for a flag the parser dropped, fails here;
 //  - unknown options and malformed values exit 64 (cli::ExitUsage) with
-//    a diagnostic that names the offending flag.
+//    a diagnostic that names the offending flag. For the gates that also
+//    covers out-of-range --reps/--scale and a flag the gate does not
+//    declare; all of them are rejected before any leg runs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -154,21 +157,21 @@ TEST(UsageTest, ServeHelpExitsZeroAndMatchesDeclaredFlags) {
   expectFlagSetMatches(R.Output, ServeFlags);
 }
 
+/// Runs a command line that must be rejected as a usage error naming
+/// \p MustMention.
+void expectUsageError(const std::string &CmdLine, const char *MustMention) {
+  ToolResult R = runTool(CmdLine);
+  EXPECT_EQ(R.ExitCode, wearmem::cli::ExitUsage) << CmdLine << "\n"
+                                                 << R.Output;
+  EXPECT_NE(R.Output.find(MustMention), std::string::npos)
+      << "diagnostic for '" << CmdLine << "' does not name " << MustMention
+      << ":\n"
+      << R.Output;
+}
+
 TEST(UsageTest, UnknownOptionExitsUsageNamingTheFlag) {
-  ToolResult Run =
-      runTool(std::string(WEARMEM_RUN_BIN) + " --no-such-flag");
-  EXPECT_EQ(Run.ExitCode, wearmem::cli::ExitUsage);
-  EXPECT_NE(Run.Output.find("--no-such-flag"), std::string::npos);
-
-  ToolResult Soak =
-      runTool(std::string(WEARMEM_SOAK_BIN) + " --no-such-flag");
-  EXPECT_EQ(Soak.ExitCode, wearmem::cli::ExitUsage);
-  EXPECT_NE(Soak.Output.find("--no-such-flag"), std::string::npos);
-
-  ToolResult Serve =
-      runTool(std::string(WEARMEM_SERVE_BIN) + " --no-such-flag");
-  EXPECT_EQ(Serve.ExitCode, wearmem::cli::ExitUsage);
-  EXPECT_NE(Serve.Output.find("--no-such-flag"), std::string::npos);
+  for (const char *Bin : {WEARMEM_RUN_BIN, WEARMEM_SOAK_BIN, WEARMEM_SERVE_BIN})
+    expectUsageError(std::string(Bin) + " --no-such-flag", "--no-such-flag");
 }
 
 TEST(UsageTest, MalformedValuesExitUsageNamingTheFlag) {
@@ -217,14 +220,41 @@ TEST(UsageTest, MalformedValuesExitUsageNamingTheFlag) {
       {WEARMEM_SERVE_BIN, "--session-steps=0", "--session-steps"},
       {WEARMEM_SERVE_BIN, "--failure-rate=2", "--failure-rate"},
   };
-  for (const Case &C : Cases) {
-    ToolResult R = runTool(std::string(C.Bin) + " " + C.Args);
-    EXPECT_EQ(R.ExitCode, wearmem::cli::ExitUsage)
-        << C.Args << "\n" << R.Output;
-    EXPECT_NE(R.Output.find(C.MustMention), std::string::npos)
-        << "diagnostic for '" << C.Args << "' does not name "
-        << C.MustMention << ":\n"
-        << R.Output;
+  for (const Case &C : Cases)
+    expectUsageError(std::string(C.Bin) + " " + C.Args, C.MustMention);
+}
+
+TEST(UsageTest, GatesRejectBadFlagsBeforeRunning) {
+  struct Gate {
+    const char *Bin;
+    bool Scale; ///< Declares --scale.
+    bool Timed; ///< Declares --reps and --no-timing-gate.
+  };
+  const Gate Gates[] = {
+      {PERF01_BIN, false, false}, {PERF02_BIN, true, true},
+      {PERF03_BIN, true, true},   {PERF04_BIN, true, true},
+      {PERF05_BIN, true, true},   {ROB01_BIN, true, false},
+      {SERVE01_BIN, true, true},
+  };
+  for (const Gate &G : Gates) {
+    std::string Bin = std::string(G.Bin) + " ";
+    expectUsageError(Bin + "--no-such-flag", "--no-such-flag");
+    expectUsageError(Bin + "--seed banana", "--seed");
+    expectUsageError(Bin + "--seed -1", "--seed");
+    expectUsageError(Bin + "--out", "--out"); // Missing value.
+    if (G.Scale) {
+      expectUsageError(Bin + "--scale abc", "--scale");
+      expectUsageError(Bin + "--scale 0", "--scale");
+    } else {
+      expectUsageError(Bin + "--scale 1", "--scale");
+    }
+    if (G.Timed) {
+      expectUsageError(Bin + "--reps 0", "--reps");
+      expectUsageError(Bin + "--reps -1", "--reps");
+    } else {
+      expectUsageError(Bin + "--reps 1", "--reps");
+      expectUsageError(Bin + "--no-timing-gate", "--no-timing-gate");
+    }
   }
 }
 
