@@ -126,14 +126,30 @@ void MarkWorkList::seed(unsigned Worker, Item Obj) {
 void MarkWorkList::push(unsigned Worker, Item Obj) {
   WorkerState &S = *W[Worker];
   S.Local.push_back(Obj);
+  size_t Carve = 0;
   if (S.Local.size() >= 2 * ChunkItems) {
-    // Carve the *oldest* half into a published chunk: thieves get the
-    // shallow (wide) end of the frontier, the owner keeps depth-first
-    // locality on the recent end.
-    std::vector<Item> Chunk(S.Local.begin(), S.Local.begin() + ChunkItems);
-    S.Local.erase(S.Local.begin(), S.Local.begin() + ChunkItems);
-    publish(Worker, std::move(Chunk));
+    Carve = ChunkItems;
+  } else if (S.Local.size() >= 2 &&
+             NumIdle.load(std::memory_order_relaxed) != 0 &&
+             S.ChunkCount.load(std::memory_order_relaxed) == 0) {
+    // Another worker is hungry and this deque holds nothing to steal:
+    // share half now instead of letting it spin until Local fills (a
+    // worker walking a few long chains would otherwise keep the whole
+    // frontier private). One such chunk at a time is enough to feed a
+    // thief and keeps tiny-chunk traffic bounded. The publisher is busy
+    // by definition, so idle workers still never publish.
+    Carve = S.Local.size() / 2;
+    // How often a worker starves depends on scheduling: Timing domain.
+    WEARMEM_COUNT_TIMING("gc.mark.demand_publishes");
   }
+  if (Carve == 0)
+    return;
+  // Carve the *oldest* items into a published chunk: thieves get the
+  // shallow (wide) end of the frontier, the owner keeps depth-first
+  // locality on the recent end.
+  std::vector<Item> Chunk(S.Local.begin(), S.Local.begin() + Carve);
+  S.Local.erase(S.Local.begin(), S.Local.begin() + Carve);
+  publish(Worker, std::move(Chunk));
 }
 
 void MarkWorkList::publish(unsigned Worker, std::vector<Item> Chunk) {
@@ -286,8 +302,10 @@ bool MarkWorkList::refill(unsigned Worker) {
     // Nothing anywhere: go idle. A worker reaches this point only with
     // an empty Local and after failing to take from every deque and the
     // overflow list - and since a worker drains its own publications
-    // before idling and idle workers never publish, "everyone idle and
-    // nothing visible" is a stable termination condition.
+    // before idling and idle workers never publish (publishing happens
+    // only in push, which only a busy worker calls - also the on-demand
+    // publish that NumIdle > 0 triggers), "everyone idle and nothing
+    // visible" is a stable termination condition.
     NumIdle.fetch_add(1, std::memory_order_acq_rel);
     for (;;) {
       if (Done.load(std::memory_order_acquire))

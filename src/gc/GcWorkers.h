@@ -90,11 +90,15 @@ private:
 /// Work-stealing list of objects awaiting scanning during a mark phase.
 ///
 /// Each worker owns a small private Local buffer (fast push/pop, no
-/// synchronization). When Local exceeds 2*ChunkItems entries the oldest
-/// ChunkItems are carved into a chunk and published to the worker's
-/// deque - owners pop from the back, thieves steal from the front, so
-/// thieves receive the shallow end of the frontier and owners keep
-/// depth-first locality. A deque holds at most MaxDequeChunks chunks;
+/// synchronization). A push publishes the oldest part of Local as a
+/// chunk to the worker's deque in two cases: Local reached 2*ChunkItems
+/// entries (the oldest ChunkItems go), or some worker is idle, the deque
+/// is empty and Local holds at least 2 entries (the oldest half goes, so
+/// a hungry worker is fed at once rather than when Local happens to
+/// fill). Owners pop from
+/// the back, thieves steal from the front, so thieves receive the
+/// shallow end of the frontier and owners keep depth-first locality.
+/// A deque holds at most MaxDequeChunks chunks;
 /// beyond that chunks spill to the global Overflow list, which any
 /// worker drains when its other sources run dry. That bound is the fix
 /// for the serial MarkStack's unbounded growth: per-worker memory is
@@ -103,9 +107,11 @@ private:
 ///
 /// Termination: a worker that finds no work anywhere goes idle
 /// (increments NumIdle) and spins politely. Only non-idle workers can
-/// publish work, and a worker always drains its own deque plus the
-/// overflow list before going idle, so "all idle" implies the phase is
-/// complete; the first worker to observe that sets Done.
+/// publish work - publishing happens only inside push, on-demand
+/// publishes included, and an idle worker never pushes - and a worker
+/// always drains its own deque plus the overflow list before going
+/// idle, so "all idle" implies the phase is complete; the first worker
+/// to observe that sets Done.
 class MarkWorkList {
 public:
   using Item = uint8_t *;

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -604,7 +605,7 @@ void Heap::claimEdge(ObjRef Target, unsigned Wk, bool Full,
       // allocators honor the (Prev, Epoch) hole rule all cycle.
       MW.DeferredLineMarks.push_back(Target);
     } else {
-      markObjectLines(Target, Size);
+      markObjectLines(B, Target, Size);
     }
   }
   WorkList.push(Wk, Target);
@@ -687,10 +688,19 @@ void Heap::markPhase(CollectionKind Kind) {
   InMarkPhase.store(false, std::memory_order_release);
 
   // Deterministic merge, in worker order.
+  uint64_t Marked = 0, BusiestMarked = 0;
   for (MarkWorker &MW : MarkWorkers) {
     Stats.ObjectsMarked += MW.ObjectsMarked;
     Stats.BytesTraced += MW.BytesTraced;
+    Marked += MW.ObjectsMarked;
+    BusiestMarked = std::max(BusiestMarked, MW.ObjectsMarked);
   }
+  // Load balance of the parallel trace: the busiest worker's share of
+  // the marked objects, in per mille (1000 / NumWorkers is perfect). Who
+  // marks what is a schedule artifact: Timing domain only.
+  if (NumWorkers > 1 && Marked != 0)
+    WEARMEM_GAUGE_TIMING("gc.mark.busiest_worker_permille",
+                         BusiestMarked * 1000 / Marked);
   MarkDebug.DequePeakChunks = WorkList.dequePeakChunks();
   MarkDebug.OverflowPeakChunks = WorkList.overflowPeakChunks();
 
@@ -778,7 +788,7 @@ void Heap::evacuatePhase() {
         // Could not evacuate an object sitting on a dynamically failed
         // line: fall back to the OS remapping the whole page.
         emergencyPageRemap(B, Target);
-      markObjectLines(Target, Size);
+      markObjectLines(B, Target, Size);
     }
   }
   for (ObjRef Target : Remaps) {
@@ -786,17 +796,26 @@ void Heap::evacuatePhase() {
     size_t Size = objectSize(Target);
     ++Stats.PinnedFailurePageRemaps;
     emergencyPageRemap(B, Target);
-    markObjectLines(Target, Size);
+    markObjectLines(B, Target, Size);
   }
 }
 
 void Heap::fixupPhase() {
-  // Each worker rewrites the reference slots of exactly the objects it
-  // scanned; the Scanned lists partition the scanned set, so the writes
-  // are disjoint. Headers are read-only here (forwarding was installed
-  // by the serial evacuation phase).
-  auto FixWorker = [&](unsigned Wk) {
-    for (ObjRef Obj : MarkWorkers[Wk].Scanned) {
+  // Rewrites the reference slots of every scanned object. The Scanned
+  // lists partition the scanned set, so cutting them into fixed-size
+  // slices and handing the slices out dynamically keeps the writes
+  // disjoint while spreading a lopsided partition - the concurrent
+  // marker scans a whole cycle as worker 0, and chain-heavy graphs leave
+  // the stop-the-world split uneven too. Headers are read-only here
+  // (forwarding was installed by the serial evacuation phase).
+  constexpr size_t SliceObjects = 2048;
+  std::vector<std::span<const ObjRef>> Slices;
+  for (const MarkWorker &MW : MarkWorkers)
+    for (size_t I = 0; I < MW.Scanned.size(); I += SliceObjects)
+      Slices.emplace_back(MW.Scanned.data() + I,
+                          std::min(SliceObjects, MW.Scanned.size() - I));
+  auto FixSlice = [&](size_t SliceIdx) {
+    for (ObjRef Obj : Slices[SliceIdx]) {
       ObjRef Final = Obj;
       while (isForwarded(Final))
         Final = forwardee(Final);
@@ -816,9 +835,10 @@ void Heap::fixupPhase() {
     }
   };
   if (Workers)
-    Workers->runOnAll(FixWorker);
+    Workers->parallelChunks(Slices.size(), FixSlice);
   else
-    FixWorker(0);
+    for (size_t I = 0; I != Slices.size(); ++I)
+      FixSlice(I);
   for (ObjRef &Root : Roots) {
     if (!Root)
       continue;
@@ -1296,8 +1316,7 @@ void Heap::verifyMarkOracle(const std::vector<ObjRef> &LoggedSeeds) {
 }
 #endif
 
-void Heap::markObjectLines(ObjRef Obj, size_t Size) {
-  Block *B = Immix->blockOf(Obj);
+void Heap::markObjectLines(Block *B, ObjRef Obj, size_t Size) {
   unsigned First = B->lineOf(Obj);
   if (Config.ConservativeLineMarking && Size <= Config.LineSize) {
     // Small objects mark only their first line; the sweep conservatively

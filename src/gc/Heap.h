@@ -417,7 +417,12 @@ private:
 #ifdef WEARMEM_EXPENSIVE_CHECKS
   void verifyMarkOracle(const std::vector<ObjRef> &LoggedSeeds);
 #endif
-  void markObjectLines(ObjRef Obj, size_t Size);
+  /// Marks the lines \p Obj covers in its block \p B at this epoch.
+  void markObjectLines(Block *B, ObjRef Obj, size_t Size);
+  /// For callers that have no block at hand.
+  void markObjectLines(ObjRef Obj, size_t Size) {
+    markObjectLines(Immix->blockOf(Obj), Obj, Size);
+  }
   bool overlapsFailedLine(Block *B, const uint8_t *Obj,
                           size_t Size) const;
   void emergencyPageRemap(Block *B, const uint8_t *Obj);

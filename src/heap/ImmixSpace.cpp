@@ -8,8 +8,11 @@
 #include "heap/ImmixSpace.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
+
+#include <sys/mman.h>
 
 using namespace wearmem;
 
@@ -218,14 +221,62 @@ void ImmixAllocator::invalidateCache() {
 }
 
 //===----------------------------------------------------------------------===//
+// BlockMap
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Zero-filled, lazily backed table of \p Count pointers.
+void *mapZeroed(size_t Count) {
+  void *Mem = mmap(nullptr, Count * sizeof(void *), PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  assert(Mem != MAP_FAILED && "block map reservation failed");
+  return Mem;
+}
+
+void unmapTable(void *Mem, size_t Count) {
+  munmap(Mem, Count * sizeof(void *));
+}
+
+} // namespace
+
+BlockMap::BlockMap(size_t BlockSize)
+    : Shift(static_cast<unsigned>(std::countr_zero(BlockSize))),
+      RootBits(AddressBits - Shift - LeafBits),
+      Root(static_cast<Block ***>(mapZeroed(size_t(1) << RootBits))) {
+  assert(isPowerOfTwo(BlockSize) && "block size must be 2^n");
+  assert(Shift + LeafBits < AddressBits && "block size too large");
+}
+
+BlockMap::~BlockMap() {
+  for (Block **Leaf : Leaves)
+    unmapTable(Leaf, size_t(1) << LeafBits);
+  unmapTable(Root, size_t(1) << RootBits);
+}
+
+void BlockMap::set(const void *Base, Block *B) {
+  uintptr_t Index = reinterpret_cast<uintptr_t>(Base) >> Shift;
+  assert((Index >> (RootBits + LeafBits)) == 0 &&
+         "block address above the block map's range");
+  std::atomic_ref<Block **> Slot(Root[Index >> LeafBits]);
+  Block **Leaf = Slot.load(std::memory_order_relaxed);
+  if (!Leaf) {
+    Leaf = static_cast<Block **>(mapZeroed(size_t(1) << LeafBits));
+    Leaves.push_back(Leaf);
+    Slot.store(Leaf, std::memory_order_release);
+  }
+  std::atomic_ref<Block *>(Leaf[Index & LeafMask])
+      .store(B, std::memory_order_release);
+}
+
+//===----------------------------------------------------------------------===//
 // ImmixSpace
 //===----------------------------------------------------------------------===//
 
 ImmixSpace::ImmixSpace(FailureAwareOs &Os, const HeapConfig &Config,
                        HeapStats &Stats, BudgetGate Gate)
-    : Os(Os), Config(Config), Stats(Stats), Gate(std::move(Gate)) {
-  assert(isPowerOfTwo(Config.BlockSize) && "block size must be 2^n");
-}
+    : Os(Os), Config(Config), Stats(Stats), Gate(std::move(Gate)),
+      Map(Config.BlockSize) {}
 
 Block *ImmixSpace::createBlock(PageGrant &&Grant) {
   assert(Grant.NumPages == Config.pagesPerBlock() &&
@@ -240,7 +291,9 @@ Block *ImmixSpace::createBlock(PageGrant &&Grant) {
 #ifdef WEARMEM_DEBUG_TRACE
   DebugReleased.erase(reinterpret_cast<uintptr_t>(Grant.Mem));
 #endif
-  ByBase.emplace(reinterpret_cast<uintptr_t>(Grant.Mem), Raw);
+  // Registered before any take* can hand the block out, so a lookup
+  // that can see an object in it always finds it.
+  Map.set(Grant.Mem, Raw);
   Blocks.push_back(std::move(NewBlock));
   Stats.LinesSkippedFailed += Raw->failedLines();
   return Raw;
@@ -375,7 +428,7 @@ size_t ImmixSpace::releaseExcessFreeBlocks(
     if (!AnyRemapped)
       Grant.PageIds = B->pageIds();
     uintptr_t Base = reinterpret_cast<uintptr_t>(B->base());
-    ByBase.erase(Base);
+    Map.set(B->base(), nullptr);
     Victims.emplace(Base, B);
 #ifdef WEARMEM_DEBUG_TRACE
     DebugReleased[Base] = ++DebugReleaseTick;
@@ -415,16 +468,6 @@ Block *ImmixSpace::takePerfectFree() {
   if (!Grant)
     return nullptr;
   return createBlock(std::move(*Grant));
-}
-
-Block *ImmixSpace::blockOf(const uint8_t *Addr) const {
-  // Locked: a lookup from the failure-routing path may race another
-  // lane's TLAB refill growing ByBase.
-  std::lock_guard<std::mutex> Lock(RegistryMu);
-  uintptr_t Base =
-      reinterpret_cast<uintptr_t>(Addr) & ~(Config.BlockSize - 1);
-  auto It = ByBase.find(Base);
-  return It == ByBase.end() ? nullptr : It->second;
 }
 
 void ImmixSpace::selectDefragCandidates() {

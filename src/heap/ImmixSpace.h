@@ -28,6 +28,7 @@
 #include "heap/Object.h"
 #include "os/Os.h"
 
+#include <atomic>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -136,6 +137,50 @@ struct ImmixSweepTotals {
   size_t FailedLines = 0;
 };
 
+/// Address-to-block map of one space, read without a lock: a two-level
+/// table of Block pointers indexed by Addr >> log2(BlockSize), in the
+/// style of an allocator pagemap. The root and the leaves are zero-filled
+/// anonymous mappings, so only the pages holding live entries ever become
+/// resident. Writers (set) must be serialised by the caller; a leaf, once
+/// installed, lives as long as the map, so a reader's two acquire loads
+/// never see a freed leaf.
+class BlockMap {
+public:
+  explicit BlockMap(size_t BlockSize);
+  ~BlockMap();
+  BlockMap(const BlockMap &) = delete;
+  BlockMap &operator=(const BlockMap &) = delete;
+
+  /// The block registered at \p Addr's block base, or nullptr.
+  Block *lookup(const void *Addr) const {
+    uintptr_t Index = reinterpret_cast<uintptr_t>(Addr) >> Shift;
+    if (Index >> (RootBits + LeafBits))
+      return nullptr; // Above the mapped address range: not ours.
+    Block **Leaf = std::atomic_ref<Block **>(Root[Index >> LeafBits])
+                       .load(std::memory_order_acquire);
+    if (!Leaf)
+      return nullptr;
+    return std::atomic_ref<Block *>(Leaf[Index & LeafMask])
+        .load(std::memory_order_acquire);
+  }
+
+  /// Registers \p B at block base \p Base (nullptr unregisters).
+  void set(const void *Base, Block *B);
+
+private:
+  /// Two levels cover a 48-bit address space; a leaf maps 2^LeafBits
+  /// consecutive blocks (2 GiB of heap at 32 KiB blocks).
+  static constexpr unsigned AddressBits = 48;
+  static constexpr unsigned LeafBits = 16;
+  static constexpr uintptr_t LeafMask = (uintptr_t(1) << LeafBits) - 1;
+
+  unsigned Shift;
+  unsigned RootBits;
+  Block ***Root;
+  /// Installed leaves, for the destructor (the root is mostly empty).
+  std::vector<Block **> Leaves;
+};
+
 /// The block-structured space itself.
 class ImmixSpace {
 public:
@@ -170,9 +215,12 @@ public:
   Block *takePerfectFree();
 
   /// The block containing \p Addr, or nullptr if the address is not in
-  /// this space. Blocks are block-size aligned, so this is a mask and a
-  /// hash lookup.
-  Block *blockOf(const uint8_t *Addr) const;
+  /// this space (another space's block, a released block, or no heap
+  /// memory at all). Lock-free: two acquire loads in the space's
+  /// BlockMap, safe to race TLAB refills on other lanes. Entries are
+  /// filled before a block is handed out and cleared only when a block
+  /// is released at a safepoint.
+  Block *blockOf(const uint8_t *Addr) const { return Map.lookup(Addr); }
 
   /// Chooses defragmentation candidates for a full collection: blocks
   /// with fresh dynamic failures always; otherwise the most fragmented
@@ -228,12 +276,12 @@ private:
   HeapStats &Stats;
   BudgetGate Gate;
 
-  /// Guards the block registry (free/recycle lists, ByBase, Blocks)
-  /// against concurrent TLAB refills from multiple mutator lanes and
-  /// against blockOf lookups racing a registry grow. Collection-time
-  /// paths (sweep, defrag selection) run at a safepoint and stay
-  /// lock-free.
-  mutable std::mutex RegistryMu;
+  /// Guards the free/recycle lists and Blocks against concurrent TLAB
+  /// refills from multiple mutator lanes, and serialises writes to Map.
+  /// Lookups (blockOf) never take it. Collection-time paths (sweep,
+  /// defrag selection) run at a safepoint and stay lock-free.
+  std::mutex RegistryMu;
+  BlockMap Map;
 
   std::vector<std::unique_ptr<Block>> Blocks;
   std::vector<Block *> FreeList;
@@ -242,7 +290,6 @@ private:
   /// O(1). With a vector the front reinsert was O(n) per probe sequence,
   /// making every medium allocation under fragmentation quadratic-ish.
   std::deque<Block *> RecycleList;
-  std::unordered_map<uintptr_t, Block *> ByBase;
   size_t RetiredCount = 0;
 
 #ifdef WEARMEM_DEBUG_TRACE

@@ -19,6 +19,8 @@
 #include "os/OsKernel.h"
 #include "pcm/PcmDevice.h"
 
+#include "StormChecks.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -133,7 +135,9 @@ TEST(ParallelGcTest, WorkerCountSweepProducesIdenticalHeaps) {
   HeapFingerprint Serial = runWorkerCountConfig(1);
   EXPECT_GT(Serial.ObjectsEvacuated, 0u)
       << "workload must exercise evacuation for the sweep to mean much";
-  for (unsigned Threads : {2u, 4u, 8u}) {
+  // The last leg runs more workers than hardware threads, so workers
+  // are descheduled mid-protocol (publish, steal, go idle).
+  for (unsigned Threads : {2u, 4u, 8u, oversubscribedWorkers()}) {
     HeapFingerprint F = runWorkerCountConfig(Threads);
     EXPECT_TRUE(F == Serial)
         << Threads << "-worker heap diverged from serial: digests "

@@ -258,6 +258,15 @@ TEST(UsageTest, GatesRejectBadFlagsBeforeRunning) {
   }
 }
 
+TEST(UsageTest, UnopenableGateOutputExitsOne) {
+  // Exit 1 is reserved for "cannot open --out"; gate verdicts exit 2 and
+  // up, so CI can tell a broken path from a failed check.
+  ToolResult R = runTool(std::string(PERF01_BIN) +
+                         " --out /nonexistent/dir/x.json");
+  EXPECT_EQ(R.ExitCode, 1) << R.Output;
+  EXPECT_NE(R.Output.find("cannot open"), std::string::npos) << R.Output;
+}
+
 TEST(UsageTest, ListExitsZero) {
   ToolResult R = runTool(std::string(WEARMEM_RUN_BIN) + " --list");
   EXPECT_EQ(R.ExitCode, 0);
