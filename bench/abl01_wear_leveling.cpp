@@ -37,21 +37,10 @@ std::shared_ptr<FailureMap> wearMap(bool Leveled, double Target) {
   return std::make_shared<FailureMap>(std::move(Result.Map));
 }
 
-std::string baseName(const Profile &P) {
-  return std::string("abl1/base/") + P.Name;
-}
-
-std::string pointName(bool Leveled, double Target, const Profile &P) {
-  char Buf[112];
-  std::snprintf(Buf, sizeof(Buf), "abl1/%s/f%02d/%s",
-                Leveled ? "leveled" : "concentrated",
-                static_cast<int>(Target * 100), P.Name);
-  return Buf;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
+  startFigure(argc, argv);
   std::vector<const Profile *> Profiles = selectedProfiles();
   // Pre-generate the four wear maps (shared across profiles).
   std::map<std::pair<bool, double>, std::shared_ptr<FailureMap>> Maps;
@@ -59,24 +48,22 @@ int main(int argc, char **argv) {
     for (double Target : Targets)
       Maps[{Leveled, Target}] = wearMap(Leveled, Target);
 
+  Series Base;
+  std::map<std::pair<bool, double>, Series> Runs;
   for (const Profile *P : Profiles) {
-    RuntimeConfig Base = paperBaseConfig();
-    Base.FailureAware = false;
-    Base.HeapBytes = heapBytesFor(*P, 2.0);
-    registerPoint(baseName(*P), *P, Base);
+    Base.push_back(runPoint(*P, baselineConfig(*P, 2.0)));
     for (bool Leveled : {false, true}) {
       for (double Target : Targets) {
-        std::shared_ptr<FailureMap> Map = Maps[{Leveled, Target}];
+        std::shared_ptr<FailureMap> Map = Maps.at({Leveled, Target});
         RuntimeConfig Config = paperBaseConfig();
         Config.HeapBytes = heapBytesFor(*P, 2.0);
         Config.FailureRate = Map->failedFraction();
         Config.Pattern = FailurePattern::Custom;
         Config.CustomFailureMap = Map;
-        registerPoint(pointName(Leveled, Target, *P), *P, Config);
+        Runs[{Leveled, Target}].push_back(runPoint(*P, Config));
       }
     }
   }
-  runBenchmarks(argc, argv);
 
   Table Fig("Section 7.2 ablation: wear-leveled (uniform) vs unleveled "
             "(concentrated) failure maps at equal failed fractions "
@@ -85,17 +72,11 @@ int main(int argc, char **argv) {
   for (bool Leveled : {false, true}) {
     std::vector<std::string> Row = {Leveled ? "leveled (Start-Gap)"
                                             : "concentrated"};
-    for (double Target : Targets) {
-      double Norm = geomeanOverProfiles(
-          Profiles,
-          [&](const Profile &P) {
-            return pointName(Leveled, Target, P);
-          },
-          baseName);
-      Row.push_back(Table::num(Norm, 3));
-    }
+    for (double Target : Targets)
+      Row.push_back(
+          Table::num(geomeanVs(Runs.at({Leveled, Target}), Base), 3));
     Row.push_back(
-        Table::num(Maps[{Leveled, Targets[0]}]->meanWorkingRun(), 1));
+        Table::num(Maps.at({Leveled, Targets[0]})->meanWorkingRun(), 1));
     Fig.addRow(Row);
   }
   Fig.print();

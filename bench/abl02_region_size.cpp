@@ -22,37 +22,25 @@ namespace {
 const std::vector<unsigned> Regions = {1, 2, 4, 8};
 const std::vector<double> Rates = {0.10, 0.25, 0.50};
 
-std::string baseName(const Profile &P) {
-  return std::string("abl2/base/") + P.Name;
-}
-
-std::string pointName(unsigned Pages, double Rate, const Profile &P) {
-  char Buf[112];
-  std::snprintf(Buf, sizeof(Buf), "abl2/%upg/f%02d/%s", Pages,
-                static_cast<int>(Rate * 100), P.Name);
-  return Buf;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
+  startFigure(argc, argv);
   std::vector<const Profile *> Profiles = selectedProfiles();
+  Series Base;
+  std::map<std::pair<unsigned, double>, Series> Runs;
   for (const Profile *P : Profiles) {
-    RuntimeConfig Base = paperBaseConfig();
-    Base.FailureAware = false;
-    Base.HeapBytes = heapBytesFor(*P, 2.0);
-    registerPoint(baseName(*P), *P, Base);
+    Base.push_back(runPoint(*P, baselineConfig(*P, 2.0)));
     for (unsigned Pages : Regions) {
       for (double Rate : Rates) {
         RuntimeConfig Config = paperBaseConfig();
         Config.HeapBytes = heapBytesFor(*P, 2.0);
         Config.FailureRate = Rate;
         Config.ClusteringRegionPages = Pages;
-        registerPoint(pointName(Pages, Rate, *P), *P, Config);
+        Runs[{Pages, Rate}].push_back(runPoint(*P, Config));
       }
     }
   }
-  runBenchmarks(argc, argv);
 
   Table Fig("Section 7.3 ablation: clustering region size (normalized "
             "time vs unmodified S-IX / mean borrowed pages)");
@@ -62,23 +50,9 @@ int main(int argc, char **argv) {
     std::snprintf(Label, sizeof(Label), "%u page%s", Pages,
                   Pages == 1 ? "" : "s");
     std::vector<std::string> Row = {Label};
-    for (double Rate : Rates) {
-      double Norm = geomeanOverProfiles(
-          Profiles,
-          [&](const Profile &P) { return pointName(Pages, Rate, P); },
-          baseName);
-      Row.push_back(Table::num(Norm, 3));
-    }
-    double Sum = 0.0;
-    size_t Count = 0;
-    for (const Profile *P : Profiles) {
-      const RunResult *Run = storedRun(pointName(Pages, 0.25, *P));
-      if (Run && Run->Completed) {
-        Sum += static_cast<double>(Run->Os.DramBorrowed);
-        ++Count;
-      }
-    }
-    Row.push_back(Count == 0 ? "-" : Table::num(Sum / Count, 0));
+    for (double Rate : Rates)
+      Row.push_back(Table::num(geomeanVs(Runs.at({Pages, Rate}), Base), 3));
+    Row.push_back(meanBorrowed(Runs.at({Pages, 0.25})));
     Fig.addRow(Row);
   }
   Fig.print();

@@ -14,36 +14,44 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "os/OsKernel.h"
-#include "pcm/PcmDevice.h"
-#include "support/Table.h"
+#include "FigureHarness.h"
 
-#include <benchmark/benchmark.h>
+#include "pcm/PcmDevice.h"
+
+#include <chrono>
 
 using namespace wearmem;
 
 namespace {
 
-/// Device write throughput without failures (the common case the buffer
-/// must not slow down).
-void BM_DeviceWriteThroughput(benchmark::State &State) {
+/// Timed operations per device micro-benchmark.
+constexpr uint64_t DeviceOps = 1u << 20;
+
+double nsPerOp(std::chrono::steady_clock::time_point Start) {
+  return std::chrono::duration<double, std::nano>(
+             std::chrono::steady_clock::now() - Start)
+             .count() /
+         static_cast<double>(DeviceOps);
+}
+
+/// Device write cost without failures (the common case the buffer must
+/// not slow down). The write results feed \p Checksum, which the caller
+/// prints, so the calls stay live.
+double writeNs(uint64_t &Checksum) {
   PcmDeviceConfig Config;
   Config.NumPages = 64;
   Config.MeanLineLifetime = 1ull << 40; // Effectively no wear.
   PcmDevice Device(Config);
   uint8_t Data[PcmLineSize] = {1, 2, 3};
-  LineIndex Line = 0;
-  for (auto _ : State) {
-    benchmark::DoNotOptimize(Device.writeLine(Line, Data));
-    Line = (Line + 1) % Device.numLines();
-  }
-  State.SetBytesProcessed(static_cast<int64_t>(State.iterations()) *
-                          PcmLineSize);
+  auto Start = std::chrono::steady_clock::now();
+  for (uint64_t I = 0; I != DeviceOps; ++I)
+    Checksum += static_cast<uint64_t>(
+        Device.writeLine(I % Device.numLines(), Data));
+  return nsPerOp(Start);
 }
-BENCHMARK(BM_DeviceWriteThroughput);
 
 /// Read-forwarding lookup cost while the buffer holds pending entries.
-void BM_BufferForwardedRead(benchmark::State &State) {
+double forwardedReadNs(uint64_t &Checksum) {
   PcmDeviceConfig Config;
   Config.NumPages = 64;
   Config.FailureBufferCapacity = 32;
@@ -55,60 +63,64 @@ void BM_BufferForwardedRead(benchmark::State &State) {
     Device.writeLine(Line, Data);
   }
   uint8_t Out[PcmLineSize];
-  LineIndex Line = 0;
-  for (auto _ : State) {
-    Device.readLine(Line % 8, Out); // Always forwarded.
-    benchmark::DoNotOptimize(Out[0]);
-    ++Line;
+  auto Start = std::chrono::steady_clock::now();
+  for (uint64_t I = 0; I != DeviceOps; ++I) {
+    Device.readLine(I % 8, Out); // Always forwarded.
+    Checksum += Out[0];
   }
+  return nsPerOp(Start);
 }
-BENCHMARK(BM_BufferForwardedRead);
 
-/// Burst tolerance: how many stalls a failure burst causes at each
-/// buffer capacity, with an OS that only drains when stalled.
-void BM_FailureBurst(benchmark::State &State) {
-  size_t Capacity = static_cast<size_t>(State.range(0));
-  size_t Burst = static_cast<size_t>(State.range(1));
-  uint64_t Stalls = 0, HighWater = 0;
-  for (auto _ : State) {
-    PcmDeviceConfig Config;
-    Config.NumPages = 64;
-    Config.FailureBufferCapacity = Capacity;
-    PcmDevice Device(Config);
-    // Lazy OS: drains one entry only when the device stalls.
-    Device.setStallInterrupt([&Device] {
-      std::vector<FailureRecord> Pending = Device.pendingFailures();
-      if (!Pending.empty())
-        Device.clearBufferEntry(Pending.front().LineAddr);
-    });
-    uint8_t Data[PcmLineSize] = {9};
-    for (size_t I = 0; I != Burst; ++I)
-      Device.injectImminentFailure(I);
-    for (size_t I = 0; I != Burst; ++I) {
-      // Retry through stalls (each stall drains one entry).
-      while (Device.writeLine(I, Data) == WriteResult::Stalled)
-        benchmark::DoNotOptimize(I);
+/// Burst tolerance: the stalls a burst of \p Burst failures causes at
+/// buffer capacity \p Capacity, with an OS that only drains when
+/// stalled, and the buffer's high-water mark.
+std::pair<uint64_t, uint64_t> failureBurst(size_t Capacity, size_t Burst) {
+  PcmDeviceConfig Config;
+  Config.NumPages = 64;
+  Config.FailureBufferCapacity = Capacity;
+  PcmDevice Device(Config);
+  // Lazy OS: drains one entry only when the device stalls.
+  Device.setStallInterrupt([&Device] {
+    std::vector<FailureRecord> Pending = Device.pendingFailures();
+    if (!Pending.empty())
+      Device.clearBufferEntry(Pending.front().LineAddr);
+  });
+  uint8_t Data[PcmLineSize] = {9};
+  for (size_t I = 0; I != Burst; ++I)
+    Device.injectImminentFailure(I);
+  // Retry through stalls (each stall drains one entry).
+  for (size_t I = 0; I != Burst; ++I)
+    while (Device.writeLine(I, Data) == WriteResult::Stalled) {
     }
-    Stalls += Device.stats().StallEvents;
-    HighWater =
-        std::max<uint64_t>(HighWater, Device.failureBuffer().highWater());
-  }
-  State.counters["stalls"] = static_cast<double>(Stalls) /
-                             static_cast<double>(State.iterations());
-  State.counters["highwater"] = static_cast<double>(HighWater);
+  return {Device.stats().StallEvents, Device.failureBuffer().highWater()};
 }
-BENCHMARK(BM_FailureBurst)
-    ->ArgsProduct({{4, 8, 16, 32, 64}, {16, 48}})
-    ->Unit(benchmark::kMicrosecond);
 
 } // namespace
 
 int main(int argc, char **argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  std::printf("\n## Section 3.1.1: a burst larger than the buffer "
-              "capacity forces one stall-and-drain per overflowing "
-              "failure; modest capacities (16-32) absorb realistic "
-              "bursts without stalling\n");
+  startFigure(argc, argv);
+  uint64_t Checksum = 0;
+  double WriteNs = writeNs(Checksum);
+  double ReadNs = forwardedReadNs(Checksum);
+  std::printf("device write, no wear: %.2f ns/line; forwarded read: %.2f "
+              "ns/line (%llu ops each, checksum %llu)\n",
+              WriteNs, ReadNs, static_cast<unsigned long long>(DeviceOps),
+              static_cast<unsigned long long>(Checksum));
+
+  Table Fig("Section 3.1.1: stalls and buffer high-water mark of a "
+            "failure burst, by buffer capacity (the OS drains one entry "
+            "per stall)");
+  Fig.setHeader({"capacity", "burst", "stalls", "highwater"});
+  for (size_t Burst : {16, 48}) {
+    for (size_t Capacity : {4, 8, 16, 32, 64}) {
+      auto [Stalls, HighWater] = failureBurst(Capacity, Burst);
+      Fig.addRow({std::to_string(Capacity), std::to_string(Burst),
+                  std::to_string(Stalls), std::to_string(HighWater)});
+    }
+  }
+  Fig.print();
+  std::printf("paper: a burst larger than the buffer capacity forces one "
+              "stall-and-drain per overflowing failure; modest capacities "
+              "(16-32) absorb realistic bursts without stalling\n");
   return 0;
 }

@@ -17,21 +17,11 @@
 
 using namespace wearmem;
 
-namespace {
-
-std::string pointName(bool Conservative, double Rate, const Profile &P) {
-  char Buf[112];
-  std::snprintf(Buf, sizeof(Buf), "abl4/%s/f%02d/%s",
-                Conservative ? "conservative" : "exact",
-                static_cast<int>(Rate * 100), P.Name);
-  return Buf;
-}
-
-} // namespace
-
 int main(int argc, char **argv) {
+  startFigure(argc, argv);
   std::vector<const Profile *> Profiles = selectedProfiles();
   const std::vector<double> Rates = {0.0, 0.25};
+  std::map<std::pair<bool, double>, Series> Runs;
   for (const Profile *P : Profiles) {
     for (bool Conservative : {true, false}) {
       for (double Rate : Rates) {
@@ -40,20 +30,16 @@ int main(int argc, char **argv) {
         Config.ConservativeLineMarking = Conservative;
         Config.FailureRate = Rate;
         Config.ClusteringRegionPages = Rate > 0.0 ? 2 : 0;
-        registerPoint(pointName(Conservative, Rate, *P), *P, Config);
+        Runs[{Conservative, Rate}].push_back(runPoint(*P, Config));
       }
     }
   }
-  runBenchmarks(argc, argv);
 
   Table Fig("Ablation: conservative vs exact line marking (exact "
             "normalized to conservative)");
   Fig.setHeader({"failure rate", "exact / conservative"});
   for (double Rate : Rates) {
-    double Norm = geomeanOverProfiles(
-        Profiles,
-        [&](const Profile &P) { return pointName(false, Rate, P); },
-        [&](const Profile &P) { return pointName(true, Rate, P); });
+    double Norm = geomeanVs(Runs.at({false, Rate}), Runs.at({true, Rate}));
     Fig.addRow({Table::num(Rate * 100, 0) + "%", Table::num(Norm, 3)});
   }
   Fig.print();

@@ -35,31 +35,20 @@ const std::vector<Mode> Modes = {
     {"arraylets 2CL", true, 2},
 };
 
-std::string baseName(const Profile &P) {
-  return std::string("abl5/base/") + P.Name;
-}
-
-std::string pointName(const Mode &M, double Rate, const Profile &P) {
-  char Buf[112];
-  std::snprintf(Buf, sizeof(Buf), "abl5/%s/f%02d/%s", M.Name,
-                static_cast<int>(Rate * 100), P.Name);
-  return Buf;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
+  startFigure(argc, argv);
   // Focus on the array-heavy profiles where large-object policy matters.
   std::vector<const Profile *> Profiles;
   for (const char *Name : {"xalan", "eclipse", "hsqldb", "sunflow"})
     if (const Profile *P = findProfile(Name))
       Profiles.push_back(P);
 
+  Series Base;
+  std::map<std::pair<const Mode *, double>, Series> Runs;
   for (const Profile *P : Profiles) {
-    RuntimeConfig Base = paperBaseConfig();
-    Base.FailureAware = false;
-    Base.HeapBytes = heapBytesFor(*P, 2.0);
-    registerPoint(baseName(*P), *P, Base);
+    Base.push_back(runPoint(*P, baselineConfig(*P, 2.0)));
     for (const Mode &M : Modes) {
       for (double Rate : Rates) {
         RuntimeConfig Config = paperBaseConfig();
@@ -67,11 +56,10 @@ int main(int argc, char **argv) {
         Config.FailureRate = Rate;
         Config.ClusteringRegionPages = M.ClusterPages;
         Config.UseDiscontiguousArrays = M.Arraylets;
-        registerPoint(pointName(M, Rate, *P), *P, Config);
+        Runs[{&M, Rate}].push_back(runPoint(*P, Config));
       }
     }
   }
-  runBenchmarks(argc, argv);
 
   Table Fig("Section 3.3.3 ablation: large-object strategies on the "
             "array-heavy workloads (normalized to unmodified S-IX)");
@@ -79,23 +67,9 @@ int main(int argc, char **argv) {
                  "borrowed pages f=50%"});
   for (const Mode &M : Modes) {
     std::vector<std::string> Row = {M.Name};
-    for (double Rate : Rates) {
-      double Norm = geomeanOverProfiles(
-          Profiles,
-          [&](const Profile &P) { return pointName(M, Rate, P); },
-          baseName);
-      Row.push_back(Table::num(Norm, 3));
-    }
-    double Sum = 0.0;
-    size_t Count = 0;
-    for (const Profile *P : Profiles) {
-      const RunResult *Run = storedRun(pointName(M, 0.50, *P));
-      if (Run && Run->Completed) {
-        Sum += static_cast<double>(Run->Os.DramBorrowed);
-        ++Count;
-      }
-    }
-    Row.push_back(Count == 0 ? "-" : Table::num(Sum / Count, 0));
+    for (double Rate : Rates)
+      Row.push_back(Table::num(geomeanVs(Runs.at({&M, Rate}), Base), 3));
+    Row.push_back(meanBorrowed(Runs.at({&M, 0.50})));
     Fig.addRow(Row);
   }
   Fig.print();

@@ -81,37 +81,26 @@ DynResult runWithInjections(const Profile &P, unsigned Injections) {
   if (!Pauses.empty())
     Result.MeanFullPauseMs /= static_cast<double>(Pauses.size());
   Result.Gcs = Rt.stats().GcCount;
-  return Result;
-}
 
-std::map<std::string, DynResult> &dynStore() {
-  static std::map<std::string, DynResult> Store;
-  return Store;
+  AggregateResult Point; // One invocation: its CI is 0.
+  Point.Completed = Result.Completed;
+  Point.MeanMs = Result.TotalMs;
+  Point.Last.Dnf = Rt.heap().dnfReason();
+  printPoint(pointLabel(P, Config) + " inject=" + std::to_string(Injections),
+             Point);
+  return Result;
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
+  startFigure(argc, argv);
   std::vector<const Profile *> Profiles = selectedProfiles();
+  std::vector<DynResult> Clean, Injected;
   for (const Profile *P : Profiles) {
-    for (unsigned Injections : {0u, 20u}) {
-      std::string Name = std::string("dyn/") + P->Name +
-                         (Injections ? "/inject20" : "/clean");
-      benchmark::RegisterBenchmark(
-          Name.c_str(),
-          [P, Injections, Name](benchmark::State &State) {
-            for (auto _ : State) {
-              DynResult R = runWithInjections(*P, Injections);
-              dynStore()[Name] = R;
-              State.SetIterationTime(R.TotalMs / 1000.0);
-            }
-          })
-          ->Iterations(1)
-          ->UseManualTime()
-          ->Unit(benchmark::kMillisecond);
-    }
+    Clean.push_back(runWithInjections(*P, 0));
+    Injected.push_back(runWithInjections(*P, 20));
   }
-  runBenchmarks(argc, argv);
 
   Table Fig("Section 4.2: full-heap collection pauses and the cost of "
             "dynamic failures (f=10%, 2CL, 2x heap)");
@@ -119,30 +108,26 @@ int main(int argc, char **argv) {
                  "full pause max ms", "ms per dynamic failure"});
   double PauseSum = 0.0, PauseMax = 0.0;
   size_t PauseCount = 0;
-  for (const Profile *P : Profiles) {
-    const DynResult &Clean =
-        dynStore()[std::string("dyn/") + P->Name + "/clean"];
-    const DynResult &Injected =
-        dynStore()[std::string("dyn/") + P->Name + "/inject20"];
+  for (size_t I = 0; I != Profiles.size(); ++I) {
+    const DynResult &C = Clean[I], &Inj = Injected[I];
     double PerFailure =
-        Injected.Injected
-            ? (Injected.TotalMs - Clean.TotalMs) /
-                  static_cast<double>(Injected.Injected)
-            : std::nan("");
-    Fig.addRow({P->Name, Table::num(Clean.TotalMs, 1),
-                std::to_string(Clean.Gcs),
-                Table::num(Clean.MeanFullPauseMs, 2),
-                Table::num(Clean.MaxFullPauseMs, 2),
-                Table::num(PerFailure, 2)});
-    if (Clean.Completed) {
-      PauseSum += Clean.MeanFullPauseMs;
-      PauseMax = std::max(PauseMax, Clean.MaxFullPauseMs);
+        Inj.Injected ? (Inj.TotalMs - C.TotalMs) /
+                           static_cast<double>(Inj.Injected)
+                     : std::nan("");
+    Fig.addRow({Profiles[I]->Name, Table::num(C.TotalMs, 1),
+                std::to_string(C.Gcs), Table::num(C.MeanFullPauseMs, 2),
+                Table::num(C.MaxFullPauseMs, 2), Table::num(PerFailure, 2)});
+    if (C.Completed) {
+      PauseSum += C.MeanFullPauseMs;
+      PauseMax = std::max(PauseMax, C.MaxFullPauseMs);
       ++PauseCount;
     }
   }
-  Fig.addRow({"mean/max",
-              "", "", Table::num(PauseSum / PauseCount, 2),
-              Table::num(PauseMax, 2), ""});
+  // '-' when no clean run completed: there is no pause to average.
+  double None = std::nan("");
+  Fig.addRow({"mean/max", "", "",
+              Table::num(PauseCount ? PauseSum / PauseCount : None, 2),
+              Table::num(PauseCount ? PauseMax : None, 2), ""});
   Fig.print();
   std::printf("paper: avg full-heap collection 7 ms, worst 44 ms "
               "(hsqldb); dynamic failures are rare enough that one "

@@ -26,29 +26,22 @@ const std::vector<std::pair<const char *, CollectorKind>> Collectors = {
     {"S-IX", CollectorKind::StickyImmix},
 };
 
-std::string pointName(const char *Collector, double Factor,
-                      const Profile &P) {
-  char Buf[96];
-  std::snprintf(Buf, sizeof(Buf), "fig3/%s/h%.2f/%s", Collector, Factor,
-                P.Name);
-  return Buf;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
+  startFigure(argc, argv);
   std::vector<const Profile *> Profiles = selectedProfiles();
+  std::map<std::pair<CollectorKind, double>, Series> Runs;
   for (const auto &[Name, Kind] : Collectors) {
     for (double Factor : heapFactors()) {
       for (const Profile *P : Profiles) {
         RuntimeConfig Config = paperBaseConfig();
         Config.Collector = Kind;
         Config.HeapBytes = heapBytesFor(*P, Factor);
-        registerPoint(pointName(Name, Factor, *P), *P, Config);
+        Runs[{Kind, Factor}].push_back(runPoint(*P, Config));
       }
     }
   }
-  runBenchmarks(argc, argv);
 
   // Normalize everything to S-IX at the largest heap (the fastest
   // configuration in the paper's plot).
@@ -57,30 +50,19 @@ int main(int argc, char **argv) {
             "workload did not complete)");
   Fig.setHeader(
       {"heap(xmin)", "MS", "IX", "S-MS", "S-IX", "S-IX geomean ms"});
-  auto BaseName = [&](const Profile &P) {
-    return pointName("S-IX", heapFactors().back(), P);
-  };
+  const Series &Base =
+      Runs.at({CollectorKind::StickyImmix, heapFactors().back()});
   for (double Factor : heapFactors()) {
     std::vector<std::string> Row;
     Row.push_back(Table::num(Factor, 2));
-    double SixMs = 0.0;
-    for (const auto &[Name, Kind] : Collectors) {
-      double Norm = geomeanOverProfiles(
-          Profiles,
-          [&](const Profile &P) { return pointName(Name, Factor, P); },
-          BaseName);
-      Row.push_back(Table::num(Norm, 3));
-      if (std::string(Name) == "S-IX") {
-        std::vector<double> Times;
-        for (const Profile *P : Profiles) {
-          double Ms = storedMs(pointName(Name, Factor, *P));
-          if (!std::isnan(Ms))
-            Times.push_back(Ms);
-        }
-        SixMs = Times.empty() ? std::nan("") : geomean(Times);
-      }
-    }
-    Row.push_back(Table::num(SixMs, 1));
+    for (const auto &[Name, Kind] : Collectors)
+      Row.push_back(Table::num(geomeanVs(Runs.at({Kind, Factor}), Base), 3));
+    std::vector<double> Times;
+    for (const AggregateResult &Agg :
+         Runs.at({CollectorKind::StickyImmix, Factor}))
+      if (Agg.Completed)
+        Times.push_back(Agg.MeanMs);
+    Row.push_back(Table::num(Times.empty() ? std::nan("") : geomean(Times), 1));
     Fig.addRow(Row);
   }
   Fig.print();

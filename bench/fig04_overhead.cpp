@@ -23,20 +23,10 @@ namespace {
 
 const std::vector<double> Rates = {0.0, 0.10, 0.25, 0.50};
 
-std::string baseName(const Profile &P) {
-  return std::string("fig4/base/") + P.Name;
-}
-
-std::string pcmName(double Rate, const Profile &P) {
-  char Buf[96];
-  std::snprintf(Buf, sizeof(Buf), "fig4/pcm-f%02d/%s",
-                static_cast<int>(Rate * 100), P.Name);
-  return Buf;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
+  startFigure(argc, argv);
   // Figure 4 includes the buggy lusearch alongside the analysis set.
   std::vector<const Profile *> Profiles = selectedProfiles();
   if (findProfile("lusearch") &&
@@ -44,33 +34,31 @@ int main(int argc, char **argv) {
                 findProfile("lusearch")) == Profiles.end())
     Profiles.push_back(findProfile("lusearch"));
 
+  Series Base;
+  std::map<double, Series> Pcm;
   for (const Profile *P : Profiles) {
     // Baseline: unmodified Sticky Immix on regular memory.
-    RuntimeConfig Base = paperBaseConfig();
-    Base.FailureAware = false;
-    Base.HeapBytes = heapBytesFor(*P, 2.0);
-    registerPoint(baseName(*P), *P, Base);
+    Base.push_back(runPoint(*P, baselineConfig(*P, 2.0)));
     // Failure-aware with two-page clustering at each failure rate.
     for (double Rate : Rates) {
-      RuntimeConfig Pcm = paperBaseConfig();
-      Pcm.HeapBytes = heapBytesFor(*P, 2.0);
-      Pcm.FailureRate = Rate;
-      Pcm.ClusteringRegionPages = 2;
-      registerPoint(pcmName(Rate, *P), *P, Pcm);
+      RuntimeConfig Config = paperBaseConfig();
+      Config.HeapBytes = heapBytesFor(*P, 2.0);
+      Config.FailureRate = Rate;
+      Config.ClusteringRegionPages = 2;
+      Pcm[Rate].push_back(runPoint(*P, Config));
     }
   }
-  runBenchmarks(argc, argv);
 
   Table Fig("Figure 4: S-IX^PCM_2CL time at 2x heap normalized to "
             "unmodified S-IX ('(buggy)' rows excluded from geomean)");
   Fig.setHeader({"benchmark", "f=0%", "f=10%", "f=25%", "f=50%"});
-  for (const Profile *P : Profiles) {
+  for (size_t I = 0; I != Profiles.size(); ++I) {
+    const Profile *P = Profiles[I];
     std::vector<std::string> Row;
     Row.push_back(P->Buggy ? std::string(P->Name) + " (buggy)"
                            : std::string(P->Name));
     for (double Rate : Rates)
-      Row.push_back(
-          Table::num(storedNorm(pcmName(Rate, *P), baseName(*P)), 3));
+      Row.push_back(Table::num(normalizedTime(Pcm.at(Rate)[I], Base[I]), 3));
     Fig.addRow(Row);
   }
   // Geomean over the analysis set only. This is a per-benchmark bar
@@ -81,10 +69,10 @@ int main(int argc, char **argv) {
   for (double Rate : Rates) {
     std::vector<double> Norms;
     size_t Dnf = 0;
-    for (const Profile *P : Profiles) {
-      if (P->Buggy)
+    for (size_t I = 0; I != Profiles.size(); ++I) {
+      if (Profiles[I]->Buggy)
         continue;
-      double Norm = storedNorm(pcmName(Rate, *P), baseName(*P));
+      double Norm = normalizedTime(Pcm.at(Rate)[I], Base[I]);
       if (std::isnan(Norm))
         ++Dnf;
       else

@@ -24,63 +24,50 @@ using namespace wearmem;
 
 namespace {
 
-struct Series {
+struct Curve {
   const char *Name;
   double Rate;
   bool Compensate;
   unsigned ClusterPages;
 };
 
-const std::vector<Series> AllSeries = {
+const std::vector<Curve> Curves = {
     {"f=0", 0.0, true, 0},
     {"f=10% NoComp", 0.10, false, 0},
     {"f=10% Comp", 0.10, true, 0},
     {"f=10% Comp 2CL", 0.10, true, 2},
 };
 
-std::string pointName(const Series &S, double Factor, const Profile &P) {
-  char Buf[112];
-  std::snprintf(Buf, sizeof(Buf), "fig5/%s/h%.2f/%s", S.Name, Factor,
-                P.Name);
-  return Buf;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
+  startFigure(argc, argv);
   std::vector<const Profile *> Profiles = selectedProfiles();
-  for (const Series &S : AllSeries) {
+  std::map<std::pair<const Curve *, double>, Series> Runs;
+  for (const Curve &C : Curves) {
     for (double Factor : heapFactors()) {
       for (const Profile *P : Profiles) {
         RuntimeConfig Config = paperBaseConfig();
         Config.HeapBytes = heapBytesFor(*P, Factor);
-        Config.FailureRate = S.Rate;
-        Config.CompensateForFailures = S.Compensate;
-        Config.ClusteringRegionPages = S.ClusterPages;
-        registerPoint(pointName(S, Factor, *P), *P, Config);
+        Config.FailureRate = C.Rate;
+        Config.CompensateForFailures = C.Compensate;
+        Config.ClusteringRegionPages = C.ClusterPages;
+        Runs[{&C, Factor}].push_back(runPoint(*P, Config));
       }
     }
   }
-  runBenchmarks(argc, argv);
 
   // Normalize all curves to the no-failure configuration at the largest
   // heap.
-  auto FloorName = [&](const Profile &P) {
-    return pointName(AllSeries[0], heapFactors().back(), P);
-  };
+  const Series &Floor = Runs.at({&Curves[0], heapFactors().back()});
   Table Fig("Figure 5: geomean time vs heap size (normalized to the "
             "no-failure run at the largest heap)");
   Fig.setHeader({"heap(xmin)", "f=0", "f=10% NoComp", "f=10% Comp",
                  "f=10% Comp 2CL"});
   for (double Factor : heapFactors()) {
     std::vector<std::string> Row = {Table::num(Factor, 2)};
-    for (const Series &S : AllSeries) {
-      double Norm = geomeanOverProfiles(
-          Profiles,
-          [&](const Profile &P) { return pointName(S, Factor, P); },
-          FloorName);
-      Row.push_back(Table::num(Norm, 3));
-    }
+    for (const Curve &C : Curves)
+      Row.push_back(Table::num(geomeanVs(Runs.at({&C, Factor}), Floor), 3));
     Fig.addRow(Row);
   }
   Fig.print();

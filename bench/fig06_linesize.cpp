@@ -21,18 +21,12 @@ namespace {
 
 const std::vector<size_t> LineSizes = {64, 128, 256};
 
-std::string pointName(bool Failing, size_t Line, double Factor,
-                      const Profile &P) {
-  char Buf[112];
-  std::snprintf(Buf, sizeof(Buf), "fig6%s/L%zu/h%.2f/%s",
-                Failing ? "b" : "a", Line, Factor, P.Name);
-  return Buf;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
+  startFigure(argc, argv);
   std::vector<const Profile *> Profiles = selectedProfiles();
+  std::map<std::tuple<bool, size_t, double>, Series> Runs;
   for (bool Failing : {false, true}) {
     for (size_t Line : LineSizes) {
       for (double Factor : heapFactors()) {
@@ -41,17 +35,13 @@ int main(int argc, char **argv) {
           Config.LineSize = Line;
           Config.HeapBytes = heapBytesFor(*P, Factor);
           Config.FailureRate = Failing ? 0.10 : 0.0;
-          registerPoint(pointName(Failing, Line, Factor, *P), *P,
-                        Config);
+          Runs[{Failing, Line, Factor}].push_back(runPoint(*P, Config));
         }
       }
     }
   }
-  runBenchmarks(argc, argv);
 
-  auto FloorName = [&](const Profile &P) {
-    return pointName(false, 256, heapFactors().back(), P);
-  };
+  const Series &Floor = Runs.at({false, 256, heapFactors().back()});
   for (bool Failing : {false, true}) {
     Table Fig(Failing
                   ? "Figure 6(b): line size at 10% failures, no "
@@ -61,15 +51,9 @@ int main(int argc, char **argv) {
     Fig.setHeader({"heap(xmin)", "L64", "L128", "L256"});
     for (double Factor : heapFactors()) {
       std::vector<std::string> Row = {Table::num(Factor, 2)};
-      for (size_t Line : LineSizes) {
-        double Norm = geomeanOverProfiles(
-            Profiles,
-            [&](const Profile &P) {
-              return pointName(Failing, Line, Factor, P);
-            },
-            FloorName);
-        Row.push_back(Table::num(Norm, 3));
-      }
+      for (size_t Line : LineSizes)
+        Row.push_back(Table::num(
+            geomeanVs(Runs.at({Failing, Line, Factor}), Floor), 3));
       Fig.addRow(Row);
     }
     Fig.print();

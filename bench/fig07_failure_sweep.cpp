@@ -23,37 +23,25 @@ const std::vector<size_t> LineSizes = {64, 128, 256};
 const std::vector<double> Rates = {0.0,  0.05, 0.10, 0.15, 0.20,
                                    0.25, 0.30, 0.40, 0.50};
 
-std::string baseName(const Profile &P) {
-  return std::string("fig7/base/") + P.Name;
-}
-
-std::string pointName(size_t Line, double Rate, const Profile &P) {
-  char Buf[112];
-  std::snprintf(Buf, sizeof(Buf), "fig7/L%zu/f%02d/%s", Line,
-                static_cast<int>(Rate * 100), P.Name);
-  return Buf;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
+  startFigure(argc, argv);
   std::vector<const Profile *> Profiles = selectedProfiles();
+  Series Base;
+  std::map<std::pair<size_t, double>, Series> Runs;
   for (const Profile *P : Profiles) {
-    RuntimeConfig Base = paperBaseConfig();
-    Base.FailureAware = false;
-    Base.HeapBytes = heapBytesFor(*P, 2.0);
-    registerPoint(baseName(*P), *P, Base);
+    Base.push_back(runPoint(*P, baselineConfig(*P, 2.0)));
     for (size_t Line : LineSizes) {
       for (double Rate : Rates) {
         RuntimeConfig Config = paperBaseConfig();
         Config.LineSize = Line;
         Config.HeapBytes = heapBytesFor(*P, 2.0);
         Config.FailureRate = Rate;
-        registerPoint(pointName(Line, Rate, *P), *P, Config);
+        Runs[{Line, Rate}].push_back(runPoint(*P, Config));
       }
     }
   }
-  runBenchmarks(argc, argv);
 
   Table Fig("Figure 7: failure-rate sweep at 2x heap, no clustering "
             "(normalized to unmodified S-IX; '-' = did not complete)");
@@ -61,13 +49,8 @@ int main(int argc, char **argv) {
   for (double Rate : Rates) {
     std::vector<std::string> Row = {
         Table::num(Rate * 100.0, 0)};
-    for (size_t Line : LineSizes) {
-      double Norm = geomeanOverProfiles(
-          Profiles,
-          [&](const Profile &P) { return pointName(Line, Rate, P); },
-          baseName);
-      Row.push_back(Table::num(Norm, 3));
-    }
+    for (size_t Line : LineSizes)
+      Row.push_back(Table::num(geomeanVs(Runs.at({Line, Rate}), Base), 3));
     Fig.addRow(Row);
   }
   Fig.print();

@@ -21,31 +21,18 @@ using namespace wearmem;
 
 namespace {
 
-// Cluster granularities in 64 B lines: 64 B .. 16 KB.
 const std::vector<size_t> ClusterLines = {1, 2, 4, 8, 16, 32, 64, 128, 256};
 const std::vector<double> Rates = {0.10, 0.25, 0.50};
-
-std::string baseName(const Profile &P) {
-  return std::string("fig8/base/") + P.Name;
-}
-
-std::string pointName(size_t Lines, double Rate, const Profile &P) {
-  char Buf[112];
-  std::snprintf(Buf, sizeof(Buf), "fig8/c%zuB/f%02d/%s",
-                Lines * PcmLineSize, static_cast<int>(Rate * 100),
-                P.Name);
-  return Buf;
-}
 
 } // namespace
 
 int main(int argc, char **argv) {
+  startFigure(argc, argv);
   std::vector<const Profile *> Profiles = selectedProfiles();
+  Series Base;
+  std::map<std::pair<size_t, double>, Series> Runs;
   for (const Profile *P : Profiles) {
-    RuntimeConfig Base = paperBaseConfig();
-    Base.FailureAware = false;
-    Base.HeapBytes = heapBytesFor(*P, 2.0);
-    registerPoint(baseName(*P), *P, Base);
+    Base.push_back(runPoint(*P, baselineConfig(*P, 2.0)));
     for (double Rate : Rates) {
       for (size_t Lines : ClusterLines) {
         RuntimeConfig Config = paperBaseConfig();
@@ -53,11 +40,10 @@ int main(int argc, char **argv) {
         Config.FailureRate = Rate;
         Config.Pattern = FailurePattern::ClusterLimit;
         Config.ClusterLines = Lines;
-        registerPoint(pointName(Lines, Rate, *P), *P, Config);
+        Runs[{Lines, Rate}].push_back(runPoint(*P, Config));
       }
     }
   }
-  runBenchmarks(argc, argv);
 
   Table Fig("Figure 8: S-IX^PCM (L256) with failures clustered at "
             "power-of-two granularities, normalized to unmodified S-IX "
@@ -66,13 +52,8 @@ int main(int argc, char **argv) {
   for (size_t Lines : ClusterLines) {
     std::vector<std::string> Row = {
         Table::bytes(Lines * PcmLineSize)};
-    for (double Rate : Rates) {
-      double Norm = geomeanOverProfiles(
-          Profiles,
-          [&](const Profile &P) { return pointName(Lines, Rate, P); },
-          baseName);
-      Row.push_back(Table::num(Norm, 3));
-    }
+    for (double Rate : Rates)
+      Row.push_back(Table::num(geomeanVs(Runs.at({Lines, Rate}), Base), 3));
     Fig.addRow(Row);
   }
   Fig.print();

@@ -27,18 +27,6 @@ const std::vector<unsigned> ClusterModes = {0, 1, 2};
 const std::vector<size_t> LineSizes = {64, 128, 256};
 const std::vector<double> Rates = {0.0, 0.10, 0.25, 0.50};
 
-std::string baseName(const Profile &P) {
-  return std::string("fig9/base/") + P.Name;
-}
-
-std::string pointName(unsigned Cl, size_t Line, double Rate,
-                      const Profile &P) {
-  char Buf[112];
-  std::snprintf(Buf, sizeof(Buf), "fig9/%uCL/L%zu/f%02d/%s", Cl, Line,
-                static_cast<int>(Rate * 100), P.Name);
-  return Buf;
-}
-
 const char *clLabel(unsigned Cl) {
   return Cl == 0 ? "noCL" : (Cl == 1 ? "1CL" : "2CL");
 }
@@ -46,12 +34,12 @@ const char *clLabel(unsigned Cl) {
 } // namespace
 
 int main(int argc, char **argv) {
+  startFigure(argc, argv);
   std::vector<const Profile *> Profiles = selectedProfiles();
+  Series Base;
+  std::map<std::tuple<unsigned, size_t, double>, Series> Runs;
   for (const Profile *P : Profiles) {
-    RuntimeConfig Base = paperBaseConfig();
-    Base.FailureAware = false;
-    Base.HeapBytes = heapBytesFor(*P, 2.0);
-    registerPoint(baseName(*P), *P, Base);
+    Base.push_back(runPoint(*P, baselineConfig(*P, 2.0)));
     for (unsigned Cl : ClusterModes) {
       for (size_t Line : LineSizes) {
         for (double Rate : Rates) {
@@ -60,12 +48,11 @@ int main(int argc, char **argv) {
           Config.HeapBytes = heapBytesFor(*P, 2.0);
           Config.FailureRate = Rate;
           Config.ClusteringRegionPages = Cl;
-          registerPoint(pointName(Cl, Line, Rate, *P), *P, Config);
+          Runs[{Cl, Line, Rate}].push_back(runPoint(*P, Config));
         }
       }
     }
   }
-  runBenchmarks(argc, argv);
 
   Table FigA("Figure 9(a): mean normalized time at 2x heap "
              "(vs unmodified S-IX; '-' = did not complete)");
@@ -75,15 +62,9 @@ int main(int argc, char **argv) {
       char Label[32];
       std::snprintf(Label, sizeof(Label), "%s L%zu", clLabel(Cl), Line);
       std::vector<std::string> Row = {Label};
-      for (double Rate : Rates) {
-        double Norm = geomeanOverProfiles(
-            Profiles,
-            [&](const Profile &P) {
-              return pointName(Cl, Line, Rate, P);
-            },
-            baseName);
-        Row.push_back(Table::num(Norm, 3));
-      }
+      for (double Rate : Rates)
+        Row.push_back(
+            Table::num(geomeanVs(Runs.at({Cl, Line, Rate}), Base), 3));
       FigA.addRow(Row);
     }
   }
@@ -97,20 +78,8 @@ int main(int argc, char **argv) {
       char Label[32];
       std::snprintf(Label, sizeof(Label), "%s L%zu", clLabel(Cl), Line);
       std::vector<std::string> Row = {Label};
-      for (double Rate : Rates) {
-        double Sum = 0.0;
-        size_t Count = 0;
-        for (const Profile *P : Profiles) {
-          const RunResult *Run =
-              storedRun(pointName(Cl, Line, Rate, *P));
-          if (Run && Run->Completed) {
-            Sum += static_cast<double>(Run->Os.DramBorrowed);
-            ++Count;
-          }
-        }
-        Row.push_back(
-            Count == 0 ? "-" : Table::num(Sum / Count, 0));
-      }
+      for (double Rate : Rates)
+        Row.push_back(meanBorrowed(Runs.at({Cl, Line, Rate})));
       FigB.addRow(Row);
     }
   }

@@ -22,49 +22,36 @@ namespace {
 
 const std::vector<double> Rates = {0.10, 0.25, 0.50};
 
-std::string baseName(const Profile &P) {
-  return std::string("fig10/base/") + P.Name;
-}
-
-std::string pointName(unsigned Cl, double Rate, const Profile &P) {
-  char Buf[112];
-  std::snprintf(Buf, sizeof(Buf), "fig10/%uCL/f%02d/%s", Cl,
-                static_cast<int>(Rate * 100), P.Name);
-  return Buf;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
+  startFigure(argc, argv);
   std::vector<const Profile *> Profiles = selectedProfiles();
+  Series Base;
+  std::map<std::pair<unsigned, double>, Series> Runs;
   for (const Profile *P : Profiles) {
-    RuntimeConfig Base = paperBaseConfig();
-    Base.FailureAware = false;
-    Base.HeapBytes = heapBytesFor(*P, 2.0);
-    registerPoint(baseName(*P), *P, Base);
+    Base.push_back(runPoint(*P, baselineConfig(*P, 2.0)));
     for (unsigned Cl : {1u, 2u}) {
       for (double Rate : Rates) {
         RuntimeConfig Config = paperBaseConfig();
         Config.HeapBytes = heapBytesFor(*P, 2.0);
         Config.FailureRate = Rate;
         Config.ClusteringRegionPages = Cl;
-        registerPoint(pointName(Cl, Rate, *P), *P, Config);
+        Runs[{Cl, Rate}].push_back(runPoint(*P, Config));
       }
     }
   }
-  runBenchmarks(argc, argv);
 
   Table Fig("Figure 10: per-benchmark normalized time with clustering "
             "hardware (vs unmodified S-IX)");
   Fig.setHeader({"benchmark", "1CL f=10%", "1CL f=25%", "1CL f=50%",
                  "2CL f=10%", "2CL f=25%", "2CL f=50%"});
-  for (const Profile *P : Profiles) {
-    std::vector<std::string> Row = {P->Name};
+  for (size_t I = 0; I != Profiles.size(); ++I) {
+    std::vector<std::string> Row = {Profiles[I]->Name};
     for (unsigned Cl : {1u, 2u})
       for (double Rate : Rates)
         Row.push_back(
-            Table::num(storedNorm(pointName(Cl, Rate, *P), baseName(*P)),
-                       3));
+            Table::num(normalizedTime(Runs.at({Cl, Rate})[I], Base[I]), 3));
     Fig.addRow(Row);
   }
   std::vector<std::string> Geo = {"geomean"};
@@ -72,8 +59,8 @@ int main(int argc, char **argv) {
     for (double Rate : Rates) {
       std::vector<double> Norms;
       size_t Dnf = 0;
-      for (const Profile *P : Profiles) {
-        double Norm = storedNorm(pointName(Cl, Rate, *P), baseName(*P));
+      for (size_t I = 0; I != Profiles.size(); ++I) {
+        double Norm = normalizedTime(Runs.at({Cl, Rate})[I], Base[I]);
         if (std::isnan(Norm))
           ++Dnf;
         else

@@ -8,6 +8,7 @@
 #include "workload/Profile.h"
 
 #include "pcm/Geometry.h"
+#include "support/CliArgs.h"
 
 #include <cassert>
 #include <cmath>
@@ -127,7 +128,7 @@ const Profile *wearmem::findProfile(const std::string &Name) {
   return nullptr;
 }
 
-std::vector<const Profile *> wearmem::selectedProfiles() {
+std::vector<const Profile *> wearmem::selectedProfiles(std::string *Err) {
   const char *Env = std::getenv("WEARMEM_PROFILES");
   std::string Choice = Env ? Env : "all";
   if (Choice == "all")
@@ -144,18 +145,29 @@ std::vector<const Profile *> wearmem::selectedProfiles() {
   std::stringstream Stream(Choice);
   std::string Name;
   while (std::getline(Stream, Name, ',')) {
-    if (const Profile *P = findProfile(Name))
-      Result.push_back(P);
+    const Profile *P = findProfile(Name);
+    if (!P) {
+      if (Err)
+        *Err = "WEARMEM_PROFILES names unknown profile '" + Name +
+               "' (valid: all, quick, or a list of profile names)";
+      return {};
+    }
+    Result.push_back(P);
   }
-  if (Result.empty())
-    Result = analysisProfiles();
+  if (Result.empty() && Err)
+    *Err = "WEARMEM_PROFILES names no profile";
   return Result;
 }
 
-double wearmem::benchScale() {
+double wearmem::benchScale(std::string *Err) {
   const char *Env = std::getenv("WEARMEM_BENCH_SCALE");
   if (!Env)
     return 1.0;
-  double Scale = std::atof(Env);
-  return Scale > 0.0 ? Scale : 1.0;
+  double Scale = 0.0;
+  if (cli::parseDouble(Env, Scale) && std::isfinite(Scale) && Scale > 0.0)
+    return Scale;
+  if (Err)
+    *Err = std::string("WEARMEM_BENCH_SCALE needs a number > 0, got '") +
+           Env + "'";
+  return 1.0;
 }

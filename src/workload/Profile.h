@@ -89,11 +89,16 @@ const Profile *findProfile(const std::string &Name);
 
 /// A reduced suite for quick runs, selected via the WEARMEM_PROFILES
 /// environment variable ("all", "quick", or a comma-separated name list).
-std::vector<const Profile *> selectedProfiles();
+/// A name that is no profile makes the selection empty and, when \p Err
+/// is given, stores a diagnostic naming the variable there.
+std::vector<const Profile *> selectedProfiles(std::string *Err = nullptr);
 
 /// Workload scale factor from WEARMEM_BENCH_SCALE (default 1.0); scales
-/// allocation volume only, not the live set.
-double benchScale();
+/// allocation volume only, not the live set. A value that is not a
+/// number > 0 yields the default and, when \p Err is given, a diagnostic
+/// naming the variable. A binary that reads the knob passes \p Err once,
+/// before its first run, and exits with a usage error on a diagnostic.
+double benchScale(std::string *Err = nullptr);
 
 } // namespace wearmem
 

@@ -7,9 +7,11 @@
 
 #include "workload/Runner.h"
 
+#include "support/CliArgs.h"
 #include "workload/Mutator.h"
 
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdlib>
 
@@ -85,12 +87,19 @@ AggregateResult wearmem::runRepeated(const Profile &P,
   return Agg;
 }
 
-int wearmem::benchReps() {
+int wearmem::benchReps(std::string *Err) {
   const char *Env = std::getenv("WEARMEM_BENCH_REPS");
   if (!Env)
     return 3;
-  int Reps = std::atoi(Env);
-  return Reps > 0 ? Reps : 3;
+  uint64_t Reps = 0;
+  // strtoull would wrap a negative count around to 2^64 - N.
+  if (Env[0] != '-' && cli::parseU64(Env, Reps) && Reps >= 1 &&
+      Reps <= INT_MAX)
+    return static_cast<int>(Reps);
+  if (Err)
+    *Err = std::string("WEARMEM_BENCH_REPS needs an integer >= 1, got '") +
+           Env + "'";
+  return 3;
 }
 
 double wearmem::normalizedTime(const AggregateResult &Variant,

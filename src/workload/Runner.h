@@ -24,6 +24,7 @@
 #include "workload/Profile.h"
 
 #include <optional>
+#include <string>
 #include <vector>
 
 namespace wearmem {
@@ -68,8 +69,10 @@ inline size_t heapBytesFor(const Profile &P, double HeapFactor) {
                              static_cast<double>(P.MinHeapBytes));
 }
 
-/// Repetition count from WEARMEM_BENCH_REPS (default 3).
-int benchReps();
+/// Repetition count from WEARMEM_BENCH_REPS (default 3). A value that is
+/// not an integer >= 1 yields the default and, when \p Err is given, a
+/// diagnostic naming the variable (checked once, as for benchScale).
+int benchReps(std::string *Err = nullptr);
 
 /// Normalized time of \p Variant against \p Baseline for one profile:
 /// NaN when either configuration did not complete (a terminated curve).

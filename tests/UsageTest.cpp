@@ -5,9 +5,9 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Executes the real wearmem_run / wearmem_soak / wearmem_serve tools and
-// the seven gate binaries (paths injected at compile time) and pins
-// their command-line contract:
+// Executes the real wearmem_run / wearmem_soak / wearmem_serve tools, the
+// seven gate binaries and one figure binary (paths injected at compile
+// time) and pins their command-line contract:
 //
 //  - a tool's --help exits 0 and its flag table matches the declared
 //    flag set exactly, both ways - a flag added to a parser without a
@@ -15,7 +15,9 @@
 //  - unknown options and malformed values exit 64 (cli::ExitUsage) with
 //    a diagnostic that names the offending flag. For the gates that also
 //    covers out-of-range --reps/--scale and a flag the gate does not
-//    declare; all of them are rejected before any leg runs.
+//    declare; all of them are rejected before any leg runs. A figure
+//    binary takes no arguments and rejects a malformed WEARMEM_* knob
+//    before any point runs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -256,6 +258,35 @@ TEST(UsageTest, GatesRejectBadFlagsBeforeRunning) {
       expectUsageError(Bin + "--no-timing-gate", "--no-timing-gate");
     }
   }
+}
+
+TEST(UsageTest, FiguresRejectArgumentsAndMalformedKnobsBeforeRunning) {
+  // Each leg breaks one knob and keeps the others small, so a figure that
+  // runs instead of rejecting finishes quickly and fails the exit check.
+  struct Case {
+    const char *Env;
+    const char *Arg;
+    const char *MustMention;
+  };
+  const Case Cases[] = {
+      {"", " --bogus", "--bogus"},
+      {"WEARMEM_PROFILES=pmdd", "", "WEARMEM_PROFILES"},
+      {"WEARMEM_PROFILES=pmd,,xalan", "", "WEARMEM_PROFILES"},
+      {"WEARMEM_BENCH_REPS=abc", "", "WEARMEM_BENCH_REPS"},
+      {"WEARMEM_BENCH_REPS=0", "", "WEARMEM_BENCH_REPS"},
+      {"WEARMEM_BENCH_REPS=-1", "", "WEARMEM_BENCH_REPS"},
+      {"WEARMEM_BENCH_SCALE=abc", "", "WEARMEM_BENCH_SCALE"},
+      {"WEARMEM_BENCH_SCALE=0", "", "WEARMEM_BENCH_SCALE"},
+  };
+  for (const Case &C : Cases)
+    expectUsageError(std::string("WEARMEM_PROFILES=quick "
+                                 "WEARMEM_BENCH_REPS=1 "
+                                 "WEARMEM_BENCH_SCALE=0.05 ") +
+                         C.Env + " " + FIG10_BIN + C.Arg,
+                     C.MustMention);
+  // wearmem_run reads the volume scale too.
+  expectUsageError(std::string("WEARMEM_BENCH_SCALE=abc ") + WEARMEM_RUN_BIN,
+                   "WEARMEM_BENCH_SCALE");
 }
 
 TEST(UsageTest, UnopenableGateOutputExitsOne) {

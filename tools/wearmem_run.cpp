@@ -265,6 +265,12 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "error: %s\n", Err);
     return ExitUsage;
   }
+  std::string ScaleErr;
+  benchScale(&ScaleErr);
+  if (!ScaleErr.empty()) {
+    std::fprintf(stderr, "error: %s\n", ScaleErr.c_str());
+    return ExitUsage;
+  }
   Config.HeapBytes = HeapMb > 0.0
                          ? static_cast<size_t>(HeapMb * 1024 * 1024)
                          : heapBytesFor(*P, HeapFactor);
